@@ -10,10 +10,10 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import resource
 import statistics
 import sys
 import time
-import tracemalloc
 
 from . import dectree, dp, oracle, recognition
 from .graph import GraphError, format_graph_text, is_dominating, parse_graph_text
@@ -84,7 +84,6 @@ def _gamma_json(gamma):
 def cmd_solve(args) -> int:
     if (args.graph is None) == (args.tree is None):
         raise CliError("exactly one of --graph/--tree is required")
-    tracemalloc.start()
     t0 = time.perf_counter()
     if args.graph:
         g = _load_graph(args.graph)
@@ -93,12 +92,10 @@ def cmd_solve(args) -> int:
             tree = recognition.decompose(g)
         except recognition.NotDistanceHereditary as exc:
             print(f"error: {exc}", file=sys.stderr)
-            tracemalloc.stop()
             return EXIT_NOT_DH
     else:
         tree = _load_tree(args.tree)
         instance = args.tree
-        g = None
     t_build = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -113,20 +110,17 @@ def cmd_solve(args) -> int:
 
         witness = reconstruct_witness(tree, result.states)
         t_rec = time.perf_counter() - t0
-    _, peak = tracemalloc.get_traced_memory()
-    tracemalloc.stop()
 
-    if g is None:
-        g, _ = dectree.expand(tree)
     if args.json:
         report = {
             "instance": instance,
-            "n": g.n,
-            "m": g.m,
+            "n": tree.n_leaves,
+            "m": dectree.edge_count(tree),
             "gamma_p": _gamma_json(result.gamma_p),
             "witness": list(witness) if witness is not None else None,
             "elapsed": {"build": t_build, "solve": t_solve, "reconstruct": t_rec},
-            "peak_memory": peak,
+            # peak resident set size in bytes; Linux gives ru_maxrss in KiB
+            "peak_memory": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024,
         }
         print(json.dumps(report))
     else:

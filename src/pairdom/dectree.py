@@ -2,17 +2,20 @@
 
 A tree node is either ("leaf", vertex) or (label, left, right) with label one
 of "T" (true twin), "F" (false twin), "A" (attachment, left child keeps the
-twin set). Nodes live in a flat tuple indexed by node id; all traversals are
-iterative so million-leaf trees cannot exhaust the call stack.
+twin set). Nodes live in a flat tuple indexed by node id, in post-order:
+every child id is smaller than its parent's id, every node but the root has
+exactly one parent, and the root is the last node. `validate` checks this
+layout, so each walk over a tree is one forward loop over `nodes`, and no
+tree, however deep, touches the call stack. The JSON reader emits nodes in
+this order by construction, so tree files of any nesting depth load.
 """
 
 from __future__ import annotations
 
-import json
 import random
-import sys
+import re
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .graph import Graph, build_graph
 
@@ -60,67 +63,47 @@ def internal(label: str, left: int, right: int) -> tuple:
     return (label, left, right)
 
 
-def postorder(t: DecompTree) -> Iterator[int]:
-    """Children-before-parent node order, without recursion."""
-    stack: list[tuple[int, bool]] = [(t.root, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if expanded or t.is_leaf(node):
-            yield node
-        else:
-            left, right = t.children(node)
-            stack.append((node, True))
-            stack.append((right, False))
-            stack.append((left, False))
-
-
 def validate(t: DecompTree) -> list[str]:
-    """Check the structural invariants; empty list means ok."""
-    violations: list[str] = []
-    n_nodes = len(t.nodes)
-    if not (0 <= t.root < n_nodes):
-        return [f"root id {t.root} out of range"]
-    for i, node in enumerate(t.nodes):
-        if node[0] == LEAF:
-            continue
-        if node[0] not in LABELS:
-            violations.append(f"node {i}: unknown label {node[0]!r}")
-            continue
-        if len(node) != 3:
-            violations.append(f"node {i}: internal node without two children")
-            continue
-        for c in node[1:]:
-            if not (0 <= c < n_nodes):
-                violations.append(f"node {i}: child id {c} out of range")
-    if violations:
-        return violations
+    """Check the structural invariants; empty list means ok.
 
-    # reachability / single parent / acyclicity
-    seen = bytearray(n_nodes)
-    n_seen = 0
-    leaves: list[int] = []
-    stack = [t.root]
+    The node array must be in post-order: every child id is smaller than its
+    parent's id, every node except the root has exactly one parent, the root
+    is the last node, and the leaves carry the vertices 0..n-1. One forward
+    pass checks all of it, and every other walk over a valid tree is a
+    forward loop over `nodes`.
+    """
     nodes = t.nodes
-    while stack:
-        node = stack.pop()
-        if seen[node]:
-            violations.append(f"node {node} reachable twice (shared child or cycle)")
-            return violations
-        seen[node] = 1
-        n_seen += 1
-        nd = nodes[node]
-        if nd[0] == LEAF:
-            leaves.append(nd[1])
+    n_nodes = len(nodes)
+    if n_nodes == 0 or t.root != n_nodes - 1:
+        return [f"root {t.root} is not the last of {n_nodes} node(s)"]
+    violations: list[str] = []
+    has_parent = bytearray(n_nodes)
+    n = (n_nodes + 1) // 2  # the leaf count, once the parent checks pass
+    seen = bytearray(n)
+    for i, nd in enumerate(nodes):
+        tag = nd[0]
+        if tag == LEAF:
+            v = nd[1]
+            if not 0 <= v < n or seen[v]:
+                violations.append(f"node {i}: leaf vertex {v} is repeated or outside 0..{n - 1}")
+            else:
+                seen[v] = 1
+        elif tag not in LABELS:
+            violations.append(f"node {i}: unknown label {tag!r}")
+        elif len(nd) != 3:
+            violations.append(f"node {i}: internal node without two children")
         else:
-            stack.append(nd[1])
-            stack.append(nd[2])
-    if n_seen != n_nodes:
-        violations.append(f"{n_nodes - n_seen} node(s) unreachable from root")
-
-    n = len(leaves)
-    leaves.sort()
-    if leaves != list(range(n)):
-        violations.append(f"leaf vertex ids {leaves} are not 0..{n - 1}")
+            _, left, right = nd
+            for c in (left, right):
+                if not 0 <= c < i:
+                    violations.append(f"node {i}: child id {c} is not below the node's own id")
+                elif has_parent[c]:
+                    violations.append(f"node {c}: second parent, node {i}")
+                else:
+                    has_parent[c] = 1
+    orphan = has_parent.index(0)
+    if orphan != t.root:
+        violations.append(f"node {orphan}: no parent, but it is not the root")
     return violations
 
 
@@ -139,42 +122,54 @@ def expand(t: DecompTree) -> tuple[Graph, tuple[int, ...]]:
     """
     require_valid(t)
     edges: list[tuple[int, int]] = []
-    twin: dict[int, list[int]] = {}
-    for node in postorder(t):
-        if t.is_leaf(node):
-            twin[node] = [t.leaf_vertex(node)]
+    twin: list = [None] * len(t.nodes)
+    for i, nd in enumerate(t.nodes):
+        if nd[0] == LEAF:
+            twin[i] = [nd[1]]
             continue
-        label = t.label(node)
-        left, right = t.children(node)
-        ts_l, ts_r = twin.pop(left), twin.pop(right)
-        assert ts_l and ts_r, "twin sets are never empty"
-        if label in (TRUE_TWIN, ATTACH):
+        label, left, right = nd
+        ts_l, ts_r = twin[left], twin[right]
+        twin[left] = twin[right] = None  # each node has one parent
+        if label != FALSE_TWIN:
             edges.extend((u, v) for u in ts_l for v in ts_r)
-        if label == ATTACH:
-            twin[node] = ts_l
-        else:
-            twin[node] = sorted(ts_l + ts_r)
-    root_ts = twin[t.root]
-    return build_graph(t.n_leaves, edges), tuple(root_ts)
+        twin[i] = ts_l if label == ATTACH else ts_l + ts_r
+    return build_graph(t.n_leaves, edges), tuple(sorted(twin[t.root]))
+
+
+def edge_count(t: DecompTree) -> int:
+    """Edge count of the expansion without building it: the sum of
+    |ts_l|*|ts_r| over the T and A nodes, in one pass over twin-set sizes."""
+    require_valid(t)
+    size = [1] * len(t.nodes)
+    m = 0
+    for i, nd in enumerate(t.nodes):
+        label = nd[0]
+        if label == LEAF:
+            continue
+        s_l, s_r = size[nd[1]], size[nd[2]]
+        if label != FALSE_TWIN:
+            m += s_l * s_r
+        size[i] = s_l if label == ATTACH else s_l + s_r
+    return m
 
 
 def twin_set(t: DecompTree, node: int) -> tuple[int, ...]:
     """Twin set of the subtree rooted at `node`, by the expansion recurrence."""
+    require_valid(t)
     if not (0 <= node < len(t.nodes)):
         raise TreeError(f"unknown node id {node}")
-    sub = DecompTree(t.nodes, node)
-    twin: dict[int, list[int]] = {}
-    for nd in postorder(sub):
-        if t.is_leaf(nd):
-            twin[nd] = [t.leaf_vertex(nd)]
+    # the subtree of `node` lies among nodes 0..node
+    twin: list = [None] * (node + 1)
+    for i in range(node + 1):
+        nd = t.nodes[i]
+        if nd[0] == LEAF:
+            twin[i] = [nd[1]]
             continue
-        left, right = t.children(nd)
-        ts_l, ts_r = twin.pop(left), twin.pop(right)
-        if t.label(nd) == ATTACH:
-            twin[nd] = ts_l
-        else:
-            twin[nd] = sorted(ts_l + ts_r)
-    return tuple(twin[node])
+        label, left, right = nd
+        ts_l, ts_r = twin[left], twin[right]
+        twin[left] = twin[right] = None
+        twin[i] = ts_l if label == ATTACH else ts_l + ts_r
+    return tuple(sorted(twin[node]))
 
 
 def generate(
@@ -216,32 +211,32 @@ def generate(
             a, b = b, a
         nodes.append(internal(label, a, b))
         roots.append(len(nodes) - 1)
-    built = DecompTree(tuple(nodes), roots[0])
-    # renumber into post-order so children sit near parents in the node
-    # array; same tree, much friendlier to the solver's cache at 10^6 leaves
-    remap = {old: new for new, old in enumerate(postorder(built))}
-    new_nodes: list[tuple] = [()] * len(nodes)
-    for old, new in remap.items():
+    # renumber into DFS post-order so children sit near parents in the node
+    # array; same tree, much friendlier to the solver's cache at 10^6 leaves.
+    # Popping node, right, left and reversing gives left, right, node.
+    order: list[int] = []
+    stack = [roots[0]]
+    while stack:
+        old = stack.pop()
+        order.append(old)
         nd = nodes[old]
-        new_nodes[new] = nd if nd[0] == LEAF else (nd[0], remap[nd[1]], remap[nd[2]])
-    return DecompTree(tuple(new_nodes), remap[built.root])
+        if nd[0] != LEAF:
+            stack.append(nd[1])
+            stack.append(nd[2])
+    order.reverse()
+    remap = [0] * len(nodes)
+    new_nodes: list[tuple] = []
+    for old in order:
+        nd = nodes[old]
+        remap[old] = len(new_nodes)
+        new_nodes.append(nd if nd[0] == LEAF else (nd[0], remap[nd[1]], remap[nd[2]]))
+    return DecompTree(tuple(new_nodes), len(new_nodes) - 1)
 
 
 # --- JSON tree file format -------------------------------------------------
 #
 # leaf     -> {"leaf": <int>}
 # internal -> {"op": "T"|"F"|"A", "l": <node>, "r": <node>}
-
-
-def to_json_obj(t: DecompTree) -> dict:
-    objs: dict[int, dict] = {}
-    for node in postorder(t):
-        if t.is_leaf(node):
-            objs[node] = {"leaf": t.leaf_vertex(node)}
-        else:
-            left, right = t.children(node)
-            objs[node] = {"op": t.label(node), "l": objs.pop(left), "r": objs.pop(right)}
-    return objs[t.root]
 
 
 def from_json_obj(obj: dict) -> DecompTree:
@@ -273,28 +268,90 @@ def from_json_obj(obj: dict) -> DecompTree:
 
 
 def dumps(t: DecompTree) -> str:
-    # string fragments assembled bottom-up: json.dumps would recurse on the
-    # nested object and deep caterpillar trees blow the default limit
-    frags: dict[int, str] = {}
-    for node in postorder(t):
-        if t.is_leaf(node):
-            frags[node] = '{"leaf": %d}' % t.leaf_vertex(node)
+    """Nested JSON text of the tree, in time linear in its length.
+
+    Leaves and closing braces appear in the text in node order. What the
+    text puts before a leaf -- the openings of the nodes whose leftmost leaf
+    it is, and the separator before the right subtree it starts -- is
+    gathered per leaf, innermost first, and emitted reversed.
+    """
+    require_valid(t)
+    nodes = t.nodes
+    out: list = []
+    leftmost: list = [None] * len(nodes)  # per node: its leftmost leaf's pieces
+    close = ("}",)
+    for i, nd in enumerate(nodes):
+        if nd[0] == LEAF:
+            leftmost[i] = pieces = ['{"leaf": %d}' % nd[1]]
+            out.append(pieces)
         else:
-            left, right = t.children(node)
-            frags[node] = '{"op": "%s", "l": %s, "r": %s}' % (
-                t.label(node), frags.pop(left), frags.pop(right))
-    return frags[t.root] + "\n"
+            label, left, right = nd
+            leftmost[left].append('{"op": "%s", "l": ' % label)
+            leftmost[right].append(', "r": ')
+            leftmost[i] = leftmost[left]
+            out.append(close)
+    return "".join(s for pieces in out for s in reversed(pieces)) + "\n"
+
+
+# One token per match, told apart by the group that matched: braces, a comma,
+# a key with its colon, a string, an integer, or any other character (always
+# an error). Strings take no escapes. Whitespace between tokens is skipped.
+_TOKEN = re.compile(r'\s*(?:(\{)|(\})|(,)|"([^"\\]*)"\s*:|"([^"\\]*)"|(-?\d+)|(\S))')
+_OPEN, _CLOSE, _COMMA, _KEY, _STRING, _INTEGER = range(1, 7)
+_TOKEN_NAME = {_OPEN: "'{'", _CLOSE: "'}'", _COMMA: "','", _KEY: "a key",
+               _STRING: "a string", _INTEGER: "an integer"}
+# the value each key takes: a vertex id, a label, or a child node
+_FIELD = {"leaf": _INTEGER, "op": _STRING, "l": _OPEN, "r": _OPEN}
+
+
+def _expected(want: tuple[int, ...]) -> str:
+    return " or ".join(_TOKEN_NAME[w] for w in want) or "the end of the text"
 
 
 def loads(text: str) -> DecompTree:
-    # the stdlib parser recurses once per nesting level; give it room
-    limit = sys.getrecursionlimit()
-    depth_bound = max(limit, min(len(text) // 4 + 100, 2_000_000))
-    sys.setrecursionlimit(depth_bound)
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise TreeError(f"invalid tree JSON: {exc}") from exc
-    finally:
-        sys.setrecursionlimit(limit)
-    return from_json_obj(obj)
+    """Read the nested JSON tree format without recursion.
+
+    Each object becomes a node when it closes, so the nodes come out
+    children first with the root last, and files of any nesting depth load.
+    Keys may come in any order; keys other than leaf/op/l/r are rejected.
+    """
+    nodes: list[tuple] = []
+    stack: list[tuple[dict, str]] = []  # enclosing objects: (fields, key of this one)
+    fields: dict = {}
+    key = ""
+    want: tuple[int, ...] = (_OPEN,)  # token kinds allowed next
+    for m in _TOKEN.finditer(text):
+        tok = m.lastindex
+        if tok not in want:
+            raise TreeError(f"offset {m.start(tok)}: expected {_expected(want)}, "
+                            f"got {m.group(tok)!r}")
+        if tok == _OPEN:
+            stack.append((fields, key))
+            fields = {}
+            want = (_KEY, _CLOSE)
+        elif tok == _KEY:
+            key = m.group(_KEY)
+            if key not in _FIELD or key in fields:
+                raise TreeError(f"offset {m.start(tok)}: unknown or repeated key {key!r}")
+            want = (_FIELD[key],)
+        elif tok == _COMMA:
+            want = (_KEY,)
+        elif tok == _CLOSE:
+            if fields.keys() == {"leaf"}:
+                nodes.append(leaf(fields["leaf"]))
+            elif fields.keys() == {"op", "l", "r"}:
+                nodes.append(internal(fields["op"], fields["l"], fields["r"]))
+            else:
+                raise TreeError(f"offset {m.start(tok)}: a node needs the key leaf, "
+                                f"or the keys op, l and r; got {sorted(fields)}")
+            fields, key = stack.pop()
+            fields[key] = len(nodes) - 1
+            want = (_COMMA, _CLOSE) if stack else ()
+        else:
+            fields[key] = m.group(tok) if tok == _STRING else int(m.group(tok))
+            want = (_COMMA, _CLOSE)
+    if want:
+        raise TreeError(f"tree JSON ends early: expected {_expected(want)}")
+    t = DecompTree(tuple(nodes), len(nodes) - 1)
+    require_valid(t)
+    return t

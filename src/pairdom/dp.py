@@ -1,6 +1,6 @@
 """Bottom-up dynamic programming over a decomposition tree.
 
-Each tree node carries a six-quantity state summarizing, for the expanded
+Each tree node carries a seven-quantity state summarizing, for the expanded
 subgraph H and its twin set TS, the whole curve k -> gamma_k(H): the minimum
 size of a set dominating V(H)-TS that becomes perfectly matchable after
 exempting k twin-set vertices from the matching. The curve is unimodal with
@@ -156,28 +156,21 @@ _COMBINE = {
 
 def solve(t: DecompTree, want_witness: bool = False) -> SolveResult:
     dectree.require_valid(t)
-    nodes = t.nodes
-    states: list[Optional[NodeState]] = [None] * len(nodes)
-    # hand-rolled post-order on the raw node tuples: this loop runs a couple
-    # of million times for benchmark-sized trees, so no method calls inside
-    stack: list[tuple[int, bool]] = [(t.root, False)]
-    push, pop = stack.append, stack.pop
+    # a valid tree lists children before parents, so one forward pass over
+    # the raw node tuples solves it; this loop runs a couple of million times
+    # for benchmark-sized trees, so no method calls inside
+    states: list[NodeState] = []
+    append = states.append
     leaf_tag = dectree.LEAF
     combine = _COMBINE
     # all leaves share one state object; combines never mutate their inputs
     shared_leaf = leaf_state()
-    while stack:
-        node, ready = pop()
-        nd = nodes[node]
+    for nd in t.nodes:
         tag = nd[0]
         if tag == leaf_tag:
-            states[node] = shared_leaf
-        elif ready:
-            states[node] = combine[tag](states[nd[1]], states[nd[2]])
+            append(shared_leaf)
         else:
-            push((node, True))
-            push((nd[2], False))
-            push((nd[1], False))
+            append(combine[tag](states[nd[1]], states[nd[2]]))
     gamma_p = states[t.root].gamma_p
     witness = None
     if want_witness and gamma_p != INF:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional, Sequence
 
-from .graph import Graph, has_perfect_matching_induced, induced_subgraph, is_dominating
+from .graph import Graph, has_perfect_matching_induced, is_dominating
 
 INF = math.inf
 

@@ -5,10 +5,10 @@ twin, or a false twin — until one vertex remains, then replays the sequence
 in reverse as leaf replacements. A graph with no prunable vertex at some
 stage is not distance-hereditary.
 
-The result always satisfies a hard postcondition: expanding the returned
-tree reproduces the input edge set exactly. Should the greedy pruning order
-ever produce a tree failing that check, a bounded backtracking search over
-alternative orders takes over; the postcondition is asserted regardless.
+Any pruning order replays into a tree whose expansion is the input graph,
+so the first order found is used. The result is still checked against a hard
+postcondition: expanding the returned tree reproduces the input edge set
+exactly.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from typing import Optional
 
 from . import dectree
 from .dectree import DecompTree
-from .graph import Graph, build_graph, induced_subgraph
+from .graph import Graph
 
 
 class ReductionKind(Enum):
@@ -45,7 +45,7 @@ class NotDistanceHereditary(ValueError):
 
 
 class DecomposeError(RuntimeError):
-    """Backtracking budget exhausted without a tree passing the round-trip check."""
+    """The built tree failed the round-trip postcondition: implementation bug."""
 
 
 def _reductions_at(adj: dict[int, set], u: int):
@@ -75,7 +75,10 @@ _KIND_ORDER = {ReductionKind.PENDANT: 0,
 def find_reduction(g: Graph) -> Optional[Reduction]:
     """Deterministic choice: smallest removed id, then pendant < true twin
     < false twin, then smallest anchor."""
-    adj = {v: set(g.adjacency[v]) for v in range(g.n)}
+    return _first_reduction({v: set(g.adjacency[v]) for v in range(g.n)})
+
+
+def _first_reduction(adj: dict[int, set]) -> Optional[Reduction]:
     for u in sorted(adj):
         cands = _reductions_at(adj, u)
         if cands:
@@ -89,7 +92,7 @@ def _apply(adj: dict[int, set], r: Reduction) -> None:
     del adj[r.removed]
 
 
-def _build_tree(last: int, reductions: list[Reduction], n: int) -> DecompTree:
+def _build_tree(last: int, reductions: list[Reduction]) -> DecompTree:
     """Replay removals in reverse, replacing the anchor's current leaf."""
     slot: list = ["leaf", last]
     slots: dict[int, list] = {last: slot}
@@ -125,91 +128,24 @@ def _build_tree(last: int, reductions: list[Reduction], n: int) -> DecompTree:
     return DecompTree(tuple(nodes), len(nodes) - 1)
 
 
-def _edge_set(adj: dict[int, set]) -> frozenset:
-    return frozenset((u, v) for u in adj for v in adj[u] if u < v)
+def _decompose_adj(adj: dict[int, set]) -> DecompTree:
+    """Connected component given as adjacency over original vertex ids,
+    which the pruning consumes.
 
-
-def _decompose_adj(adj: dict[int, set], budget: list[int]) -> DecompTree:
-    """Connected component given as adjacency over original vertex ids."""
-    target_edges = _edge_set(adj)
-    n = len(adj)
-    if n == 1:
-        (v,) = adj
-        return DecompTree((dectree.leaf(v),), 0)
-
-    def greedy_sequence() -> list[Reduction]:
-        work = {v: set(ns) for v, ns in adj.items()}
-        seq: list[Reduction] = []
-        while len(work) > 1:
-            red = None
-            for u in sorted(work):
-                cands = _reductions_at(work, u)
-                if cands:
-                    red = cands[0]
-                    break
-            if red is None:
-                raise NotDistanceHereditary(work.keys())
-            _apply(work, red)
-            seq.append(red)
-        return seq
-
-    def check(seq: list[Reduction]) -> Optional[DecompTree]:
-        last = ({v for v in adj} - {r.removed for r in seq}).pop()
-        t = _build_tree(last, seq, n)
-        g, _ = dectree.expand(_relabel(t))
-        mapped = _leaf_map(t)
-        got = frozenset(tuple(sorted((mapped[u], mapped[v]))) for u, v in g.edges())
-        return t if got == target_edges else None
-
-    seq = greedy_sequence()
-    t = check(seq)
-    if t is not None:
-        return t
-
-    # greedy order failed the round-trip check: bounded backtracking
-    def search(work: dict[int, set], seq: list[Reduction]) -> Optional[DecompTree]:
-        if budget[0] <= 0:
-            return None
-        budget[0] -= 1
-        if len(work) == 1:
-            return check(seq)
-        cands = []
-        for u in sorted(work):
-            cands.extend(_reductions_at(work, u))
-        for red in cands:
-            saved = {w: set(work[w]) for w in work}
-            _apply(work, red)
-            seq.append(red)
-            found = search(work, seq)
-            if found is not None:
-                return found
-            seq.pop()
-            work.clear()
-            work.update(saved)
-        return None
-
-    t = search({v: set(ns) for v, ns in adj.items()}, [])
-    if t is None:
-        raise DecomposeError(
-            "no pruning order produced a round-trip-exact tree within budget")
-    return t
-
-
-def _relabel(t: DecompTree) -> DecompTree:
-    """Renumber leaf vertices to 0..n-1 (ascending by original id)."""
-    originals = sorted(t.leaf_vertex(i) for i in range(len(t.nodes))
-                       if t.is_leaf(i))
-    remap = {v: i for i, v in enumerate(originals)}
-    nodes = tuple(dectree.leaf(remap[nd[1]]) if nd[0] == dectree.LEAF else nd
-                  for nd in t.nodes)
-    return DecompTree(nodes, t.root)
-
-
-def _leaf_map(t: DecompTree) -> dict[int, int]:
-    """dense id -> original id, matching _relabel's renumbering."""
-    originals = sorted(t.leaf_vertex(i) for i in range(len(t.nodes))
-                       if t.is_leaf(i))
-    return dict(enumerate(originals))
+    Any pruning sequence replays into an exact tree: re-adding a removed
+    pendant, true twin or false twin at its anchor's leaf as A, T or F
+    restores exactly that vertex's edges (Bandelt & Mulder 1986), so the
+    greedy order is always good enough.
+    """
+    seq: list[Reduction] = []
+    while len(adj) > 1:
+        red = _first_reduction(adj)
+        if red is None:
+            raise NotDistanceHereditary(adj.keys())
+        _apply(adj, red)
+        seq.append(red)
+    (last,) = adj
+    return _build_tree(last, seq)
 
 
 def _components(g: Graph) -> list[list[int]]:
@@ -231,7 +167,7 @@ def _components(g: Graph) -> list[list[int]]:
     return comps
 
 
-def decompose(g: Graph, backtrack_budget: int = 200_000) -> DecompTree:
+def decompose(g: Graph) -> DecompTree:
     """Tree whose expansion is edge-identical to g, or NotDistanceHereditary.
 
     Disconnected inputs get one subtree per component, joined left-to-right
@@ -239,11 +175,10 @@ def decompose(g: Graph, backtrack_budget: int = 200_000) -> DecompTree:
     """
     if g.n == 0:
         raise ValueError("cannot decompose the empty graph")
-    budget = [backtrack_budget]
     subtrees = []
     for comp in _components(g):
         adj = {v: {w for w in g.adjacency[v]} for v in comp}
-        subtrees.append(_decompose_adj(adj, budget))
+        subtrees.append(_decompose_adj(adj))
 
     # splice component trees into one node array, then join with ⊙
     nodes: list[tuple] = []

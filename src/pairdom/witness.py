@@ -38,20 +38,20 @@ class _Reconstructor:
         self.t = t
         self.states = states
         self.g, _ = dectree.expand(t)
-        self.vhat: dict[int, frozenset] = {}
-        self.twin: dict[int, frozenset] = {}
-        for node in dectree.postorder(t):
-            if t.is_leaf(node):
-                vs = frozenset((t.leaf_vertex(node),))
-                self.vhat[node] = vs
-                self.twin[node] = vs
+        self.vhat: list[frozenset] = []
+        self.twin: list[frozenset] = []
+        for nd in t.nodes:
+            if nd[0] == dectree.LEAF:
+                vs = frozenset((nd[1],))
+                self.vhat.append(vs)
+                self.twin.append(vs)
             else:
-                left, right = t.children(node)
-                self.vhat[node] = self.vhat[left] | self.vhat[right]
-                if t.label(node) == dectree.ATTACH:
-                    self.twin[node] = self.twin[left]
+                label, left, right = nd
+                self.vhat.append(self.vhat[left] | self.vhat[right])
+                if label == dectree.ATTACH:
+                    self.twin.append(self.twin[left])
                 else:
-                    self.twin[node] = self.twin[left] | self.twin[right]
+                    self.twin.append(self.twin[left] | self.twin[right])
         self._rep_cache: dict[tuple[int, int], list[Optional[Cert]]] = {}
 
     # --- certificate validation -------------------------------------------

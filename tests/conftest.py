@@ -56,7 +56,7 @@ def node_subproblems(t, g):
     """Per tree node: (node, induced subgraph of its leaves, local twin set)."""
     vhat, twin = {}, {}
     out = []
-    for node in dectree.postorder(t):
+    for node in range(len(t.nodes)):
         if t.is_leaf(node):
             v = t.leaf_vertex(node)
             vhat[node] = {v}

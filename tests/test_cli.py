@@ -1,7 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import pairdom
+from pairdom import dectree
 from pairdom.cli import main
 
 
@@ -57,7 +63,28 @@ def test_solve_json_round_trips(capsys, data_dir):
     assert report["n"] == 7 and report["m"] == 13
     assert len(report["witness"]) == 2
     assert set(report["elapsed"]) == {"build", "solve", "reconstruct"}
+    assert report["peak_memory"] >= 1 << 20  # resident set size, in bytes
     assert json.loads(json.dumps(report)) == report
+
+
+def test_solve_deep_star_tree_subprocess(tmp_path):
+    # a 100000-leaf star caterpillar A(...A(A(0, 1), 2)..., n-1) nests
+    # 100000 objects deep; reading it must not exhaust any stack
+    n = 100_000
+    nodes = [dectree.leaf(0)]
+    for v in range(1, n):
+        nodes += [dectree.leaf(v), ("A", len(nodes) - 1, len(nodes))]
+    path = tmp_path / "star.json"
+    path.write_text(dectree.dumps(dectree.DecompTree(tuple(nodes), len(nodes) - 1)))
+    src = str(Path(pairdom.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run(
+        [sys.executable, "-m", "pairdom", "solve", "--tree", str(path), "--json"],
+        capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    report = json.loads(proc.stdout)
+    assert (report["n"], report["m"], report["gamma_p"]) == (n, n - 1, 2)
 
 
 def test_solve_json_null_gamma(capsys, data_dir):

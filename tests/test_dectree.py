@@ -48,6 +48,21 @@ def test_validate_shared_child():
     assert dectree.validate(t)
 
 
+def test_validate_rejects_broken_post_order():
+    # node 1 names node 2 as a child, but children must come first
+    child_after_parent = DecompTree(
+        (dectree.leaf(0), ("T", 0, 2), dectree.leaf(1), dectree.leaf(2), ("F", 1, 3)), 4)
+    assert any("node 1" in v for v in dectree.validate(child_after_parent))
+    # node 3 comes after the root and has no parent
+    root_not_last = DecompTree(
+        (dectree.leaf(0), dectree.leaf(1), ("T", 0, 1), dectree.leaf(2)), 2)
+    assert any("root 2" in v for v in dectree.validate(root_not_last))
+    # node 0 is a child of node 2 and of node 3
+    two_parents = DecompTree(
+        (dectree.leaf(0), dectree.leaf(1), ("T", 0, 1), ("F", 0, 2)), 3)
+    assert any("node 0" in v for v in dectree.validate(two_parents))
+
+
 def test_validate_bad_label():
     t = DecompTree((dectree.leaf(0), dectree.leaf(1), ("X", 0, 1)), 2)
     assert dectree.validate(t)
@@ -114,6 +129,13 @@ def test_json_rejects_garbage():
         dectree.loads('{"op": "T", "l": {"leaf": 0}}')
     with pytest.raises(TreeError):
         dectree.loads('{"leaf": "zero"}')
+    text = dectree.dumps(dectree.generate(5, seed=1))
+    for bad in (text[:-5],                    # truncated
+                text.rstrip() + "}",          # an extra closing brace
+                "[" + text.rstrip() + "]",    # a top-level array
+                text.rstrip() + " x"):        # trailing junk
+        with pytest.raises(TreeError):
+            dectree.loads(bad)
 
 
 def test_deep_tree_no_recursion_limit():
