@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import resource
 import statistics
 import sys
 import time
@@ -81,6 +80,26 @@ def _gamma_json(gamma):
     return None if gamma == dp.INF else int(gamma)
 
 
+def _peak_rss_bytes():
+    """Peak resident set size of this process in bytes, or None where
+    getrusage is missing (Windows)."""
+    try:
+        import resource
+    except ImportError:
+        return None
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    # macOS reports ru_maxrss in bytes, Linux and the BSDs in KiB
+    return peak if sys.platform == "darwin" else peak * 1024
+
+
+def _edge_count(tree, states) -> int:
+    """Edge count of the tree's expansion without building it: each T or A
+    node adds a biclique between its children's twin sets, whose sizes the
+    solver's states carry."""
+    return sum(states[nd[1]].ts_size * states[nd[2]].ts_size for nd in tree.nodes
+               if nd[0] == dectree.TRUE_TWIN or nd[0] == dectree.ATTACH)
+
+
 def cmd_solve(args) -> int:
     if (args.graph is None) == (args.tree is None):
         raise CliError("exactly one of --graph/--tree is required")
@@ -115,12 +134,11 @@ def cmd_solve(args) -> int:
         report = {
             "instance": instance,
             "n": tree.n_leaves,
-            "m": dectree.edge_count(tree),
+            "m": _edge_count(tree, result.states),
             "gamma_p": _gamma_json(result.gamma_p),
             "witness": list(witness) if witness is not None else None,
             "elapsed": {"build": t_build, "solve": t_solve, "reconstruct": t_rec},
-            # peak resident set size in bytes; Linux gives ru_maxrss in KiB
-            "peak_memory": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024,
+            "peak_memory": _peak_rss_bytes(),
         }
         print(json.dumps(report))
     else:

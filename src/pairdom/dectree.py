@@ -3,11 +3,14 @@
 A tree node is either ("leaf", vertex) or (label, left, right) with label one
 of "T" (true twin), "F" (false twin), "A" (attachment, left child keeps the
 twin set). Nodes live in a flat tuple indexed by node id, in post-order:
-every child id is smaller than its parent's id, every node but the root has
-exactly one parent, and the root is the last node. `validate` checks this
-layout, so each walk over a tree is one forward loop over `nodes`, and no
-tree, however deep, touches the call stack. The JSON reader emits nodes in
-this order by construction, so tree files of any nesting depth load.
+every subtree is a contiguous block of ids that ends at its root, with the
+left subtree's block right before the right subtree's. So an internal node
+i has right child i-1 and left child i-1-(size of the right subtree), the
+root is the last node, and every node but the root has exactly one parent.
+`validate` checks this layout, so each walk over a tree, or over one
+subtree, is one forward loop over `nodes`, and no tree, however deep,
+touches the call stack. The JSON reader emits nodes in this order by
+construction, so tree files of any nesting depth load.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Optional, Sequence
 
 from .graph import Graph, build_graph
 
@@ -63,23 +66,32 @@ def internal(label: str, left: int, right: int) -> tuple:
     return (label, left, right)
 
 
+_NO_ROOT = object()
+
+
 def validate(t: DecompTree) -> list[str]:
     """Check the structural invariants; empty list means ok.
 
-    The node array must be in post-order: every child id is smaller than its
-    parent's id, every node except the root has exactly one parent, the root
-    is the last node, and the leaves carry the vertices 0..n-1. One forward
-    pass checks all of it, and every other walk over a valid tree is a
-    forward loop over `nodes`.
+    The node array must be in post-order: each internal node's children are
+    the roots of the two subtrees that end right before it, left then right;
+    the root is the last node and its subtree holds every node; the leaves
+    carry the vertices 0..n-1. Then every subtree is a contiguous block
+    ending at its root, and each node but the root has exactly one parent.
+    One forward pass checks it all, keeping the roots of the finished
+    subtrees on a stack. The structure past the first misplaced child is
+    not read, so the report stops there.
     """
     nodes = t.nodes
     n_nodes = len(nodes)
     if n_nodes == 0 or t.root != n_nodes - 1:
         return [f"root {t.root} is not the last of {n_nodes} node(s)"]
     violations: list[str] = []
-    has_parent = bytearray(n_nodes)
-    n = (n_nodes + 1) // 2  # the leaf count, once the parent checks pass
+    n = (n_nodes + 1) // 2  # the leaf count of a well-formed tree
     seen = bytearray(n)
+    # roots of the finished subtrees in node order, after two placeholders
+    # that no child id matches
+    roots: list = [_NO_ROOT, _NO_ROOT]
+    push, pop = roots.append, roots.pop
     for i, nd in enumerate(nodes):
         tag = nd[0]
         if tag == LEAF:
@@ -88,22 +100,23 @@ def validate(t: DecompTree) -> list[str]:
                 violations.append(f"node {i}: leaf vertex {v} is repeated or outside 0..{n - 1}")
             else:
                 seen[v] = 1
-        elif tag not in LABELS:
-            violations.append(f"node {i}: unknown label {tag!r}")
-        elif len(nd) != 3:
-            violations.append(f"node {i}: internal node without two children")
-        else:
-            _, left, right = nd
-            for c in (left, right):
-                if not 0 <= c < i:
-                    violations.append(f"node {i}: child id {c} is not below the node's own id")
-                elif has_parent[c]:
-                    violations.append(f"node {c}: second parent, node {i}")
-                else:
-                    has_parent[c] = 1
-    orphan = has_parent.index(0)
-    if orphan != t.root:
-        violations.append(f"node {orphan}: no parent, but it is not the root")
+            push(i)
+            continue
+        if tag not in LABELS or len(nd) != 3:
+            violations.append(f"node {i}: {nd!r} is neither a leaf nor a T/F/A node "
+                              "with two children")
+            return violations
+        _, left, right = nd
+        if roots[-1] != right or roots[-2] != left:
+            last_two = [r for r in roots[-2:] if r is not _NO_ROOT]
+            violations.append(f"node {i}: children ({left}, {right}) are not the roots "
+                              f"of the two subtrees ending right before it, {last_two}")
+            return violations
+        pop()
+        roots[-1] = i
+    if len(roots) > 3:
+        violations.append(f"the subtrees rooted at nodes {roots[2:-1]} are outside the "
+                          "root's subtree")
     return violations
 
 
@@ -113,63 +126,58 @@ def require_valid(t: DecompTree) -> None:
         raise TreeError("; ".join(violations))
 
 
+def twin_sets(t: DecompTree, node: Optional[int] = None) -> Iterator[tuple]:
+    """The twin-set recurrence of the expansion over the subtree of `node`
+    (the whole tree by default), children first.
+
+    Yields (i, label, ts_l, ts_r, ts) for each node i of the subtree: its
+    label, its children's twin sets (None for a leaf) and its own, as
+    frozensets of vertices. A leaf's twin set is its vertex; an "A" node
+    keeps its left child's (the same object), "T" and "F" nodes take the
+    union. The subtree is the block of nodes ending at `node`, so the walk
+    reads only the subtree's nodes. `t` must be valid.
+    """
+    nodes = t.nodes
+    last = t.root if node is None else node
+    first = last
+    while nodes[first][0] != LEAF:  # a subtree's first node is its leftmost leaf
+        first = nodes[first][1]
+    twin: list = [None] * (last + 1 - first)
+    for i in range(first, last + 1):
+        nd = nodes[i]
+        if nd[0] == LEAF:
+            ts = twin[i - first] = frozenset((nd[1],))
+            yield i, LEAF, None, None, ts
+            continue
+        label, left, right = nd
+        ts_l, ts_r = twin[left - first], twin[right - first]
+        twin[left - first] = twin[right - first] = None  # each node has one parent
+        ts = twin[i - first] = ts_l if label == ATTACH else ts_l | ts_r
+        yield i, label, ts_l, ts_r, ts
+
+
 def expand(t: DecompTree) -> tuple[Graph, tuple[int, ...]]:
     """Materialize the graph described by the tree and its root twin set.
 
-    Leaf: single vertex with twin set {v}. "T": biclique between the child
-    twin sets, union of twin sets. "F": plain union, union of twin sets.
-    "A": biclique between the child twin sets, left twin set survives.
+    "T" and "A" nodes add a biclique between their children's twin sets,
+    "F" nodes add no edge.
     """
     require_valid(t)
     edges: list[tuple[int, int]] = []
-    twin: list = [None] * len(t.nodes)
-    for i, nd in enumerate(t.nodes):
-        if nd[0] == LEAF:
-            twin[i] = [nd[1]]
-            continue
-        label, left, right = nd
-        ts_l, ts_r = twin[left], twin[right]
-        twin[left] = twin[right] = None  # each node has one parent
-        if label != FALSE_TWIN:
+    for _, label, ts_l, ts_r, ts in twin_sets(t):
+        if label == TRUE_TWIN or label == ATTACH:
             edges.extend((u, v) for u in ts_l for v in ts_r)
-        twin[i] = ts_l if label == ATTACH else ts_l + ts_r
-    return build_graph(t.n_leaves, edges), tuple(sorted(twin[t.root]))
-
-
-def edge_count(t: DecompTree) -> int:
-    """Edge count of the expansion without building it: the sum of
-    |ts_l|*|ts_r| over the T and A nodes, in one pass over twin-set sizes."""
-    require_valid(t)
-    size = [1] * len(t.nodes)
-    m = 0
-    for i, nd in enumerate(t.nodes):
-        label = nd[0]
-        if label == LEAF:
-            continue
-        s_l, s_r = size[nd[1]], size[nd[2]]
-        if label != FALSE_TWIN:
-            m += s_l * s_r
-        size[i] = s_l if label == ATTACH else s_l + s_r
-    return m
+    return build_graph(t.n_leaves, edges), tuple(sorted(ts))
 
 
 def twin_set(t: DecompTree, node: int) -> tuple[int, ...]:
-    """Twin set of the subtree rooted at `node`, by the expansion recurrence."""
-    require_valid(t)
+    """Twin set of the subtree rooted at `node` of a valid tree; reads only
+    that subtree's nodes."""
     if not (0 <= node < len(t.nodes)):
         raise TreeError(f"unknown node id {node}")
-    # the subtree of `node` lies among nodes 0..node
-    twin: list = [None] * (node + 1)
-    for i in range(node + 1):
-        nd = t.nodes[i]
-        if nd[0] == LEAF:
-            twin[i] = [nd[1]]
-            continue
-        label, left, right = nd
-        ts_l, ts_r = twin[left], twin[right]
-        twin[left] = twin[right] = None
-        twin[i] = ts_l if label == ATTACH else ts_l + ts_r
-    return tuple(sorted(twin[node]))
+    for *_, ts in twin_sets(t, node):
+        pass
+    return tuple(sorted(ts))
 
 
 def generate(
@@ -295,8 +303,11 @@ def dumps(t: DecompTree) -> str:
 
 # One token per match, told apart by the group that matched: braces, a comma,
 # a key with its colon, a string, an integer, or any other character (always
-# an error). Strings take no escapes. Whitespace between tokens is skipped.
-_TOKEN = re.compile(r'\s*(?:(\{)|(\})|(,)|"([^"\\]*)"\s*:|"([^"\\]*)"|(-?\d+)|(\S))')
+# an error, so only whitespace goes unread). As in JSON, whitespace is
+# space, tab, LF or CR, integers have no leading zeros, and strings hold no
+# control characters; strings take no escapes.
+_TOKEN = re.compile(r'[ \t\n\r]*(?:(\{)|(\})|(,)|"([^"\\\x00-\x1f]*)"[ \t\n\r]*:'
+                    r'|"([^"\\\x00-\x1f]*)"|(-?(?:0|[1-9][0-9]*))|([^ \t\n\r]))', re.ASCII)
 _OPEN, _CLOSE, _COMMA, _KEY, _STRING, _INTEGER = range(1, 7)
 _TOKEN_NAME = {_OPEN: "'{'", _CLOSE: "'}'", _COMMA: "','", _KEY: "a key",
                _STRING: "a string", _INTEGER: "an integer"}
@@ -313,7 +324,8 @@ def loads(text: str) -> DecompTree:
 
     Each object becomes a node when it closes, so the nodes come out
     children first with the root last, and files of any nesting depth load.
-    Keys may come in any order; keys other than leaf/op/l/r are rejected.
+    Keys may come in any order, except that "l" comes before "r", which
+    puts the left subtree's nodes first; other keys are rejected.
     """
     nodes: list[tuple] = []
     stack: list[tuple[dict, str]] = []  # enclosing objects: (fields, key of this one)
@@ -331,8 +343,9 @@ def loads(text: str) -> DecompTree:
             want = (_KEY, _CLOSE)
         elif tok == _KEY:
             key = m.group(_KEY)
-            if key not in _FIELD or key in fields:
-                raise TreeError(f"offset {m.start(tok)}: unknown or repeated key {key!r}")
+            if key not in _FIELD or key in fields or (key == "r" and "l" not in fields):
+                raise TreeError(f"offset {m.start(tok)}: unknown, repeated or "
+                                f"out-of-order key {key!r}")
             want = (_FIELD[key],)
         elif tok == _COMMA:
             want = (_KEY,)

@@ -175,27 +175,20 @@ def decompose(g: Graph) -> DecompTree:
     """
     if g.n == 0:
         raise ValueError("cannot decompose the empty graph")
-    subtrees = []
+    # splice the component trees into one node array, each followed by the
+    # ⊙ join with everything before it, so every subtree stays one block
+    nodes: list[tuple] = []
     for comp in _components(g):
         adj = {v: {w for w in g.adjacency[v]} for v in comp}
-        subtrees.append(_decompose_adj(adj))
-
-    # splice component trees into one node array, then join with ⊙
-    nodes: list[tuple] = []
-    roots: list[int] = []
-    for t in subtrees:
-        off = len(nodes)
-        for nd in t.nodes:
+        off = len(nodes)  # the root of everything before ends at off - 1
+        for nd in _decompose_adj(adj).nodes:
             if nd[0] == dectree.LEAF:
                 nodes.append(nd)
             else:
                 nodes.append((nd[0], nd[1] + off, nd[2] + off))
-        roots.append(t.root + off)
-    root = roots[0]
-    for r in roots[1:]:
-        nodes.append(dectree.internal(dectree.FALSE_TWIN, root, r))
-        root = len(nodes) - 1
-    result = DecompTree(tuple(nodes), root)
+        if off:
+            nodes.append(dectree.internal(dectree.FALSE_TWIN, off - 1, len(nodes) - 1))
+    result = DecompTree(tuple(nodes), len(nodes) - 1)
 
     expanded, _ = dectree.expand(result)
     if set(expanded.edges()) != set(g.edges()) or expanded.n != g.n:

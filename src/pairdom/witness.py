@@ -40,18 +40,13 @@ class _Reconstructor:
         self.g, _ = dectree.expand(t)
         self.vhat: list[frozenset] = []
         self.twin: list[frozenset] = []
-        for nd in t.nodes:
-            if nd[0] == dectree.LEAF:
-                vs = frozenset((nd[1],))
-                self.vhat.append(vs)
-                self.twin.append(vs)
+        for i, label, _, _, ts in dectree.twin_sets(t):
+            self.twin.append(ts)
+            if label == dectree.LEAF:
+                self.vhat.append(ts)  # a leaf's vertex set is its twin set
             else:
-                label, left, right = nd
+                _, left, right = t.nodes[i]
                 self.vhat.append(self.vhat[left] | self.vhat[right])
-                if label == dectree.ATTACH:
-                    self.twin.append(self.twin[left])
-                else:
-                    self.twin.append(self.twin[left] | self.twin[right])
         self._rep_cache: dict[tuple[int, int], list[Optional[Cert]]] = {}
 
     # --- certificate validation -------------------------------------------

@@ -57,10 +57,22 @@ def test_validate_rejects_broken_post_order():
     root_not_last = DecompTree(
         (dectree.leaf(0), dectree.leaf(1), ("T", 0, 1), dectree.leaf(2)), 2)
     assert any("root 2" in v for v in dectree.validate(root_not_last))
-    # node 0 is a child of node 2 and of node 3
+    # node 0 is a child of node 2 and of node 3: node 3's left child is not
+    # the root of a subtree ending right before its right subtree
     two_parents = DecompTree(
         (dectree.leaf(0), dectree.leaf(1), ("T", 0, 1), ("F", 0, 2)), 3)
-    assert any("node 0" in v for v in dectree.validate(two_parents))
+    assert any("node 3" in v for v in dectree.validate(two_parents))
+    # children come first and each has one parent, but node 4's left
+    # subtree {0} is not contiguous with its right subtree {1, 2, 3}
+    split_subtree = DecompTree(
+        (dectree.leaf(0), dectree.leaf(1), dectree.leaf(2), ("T", 0, 2), ("F", 3, 1)), 4)
+    assert any("node 3" in v for v in dectree.validate(split_subtree))
+    with pytest.raises(TreeError):
+        dectree.dumps(split_subtree)
+    # node 0 lies outside the root's subtree
+    orphan = DecompTree(
+        (dectree.leaf(2), dectree.leaf(0), dectree.leaf(1), ("T", 1, 2)), 3)
+    assert any("outside the root's subtree" in v for v in dectree.validate(orphan))
 
 
 def test_validate_bad_label():
@@ -133,7 +145,12 @@ def test_json_rejects_garbage():
     for bad in (text[:-5],                    # truncated
                 text.rstrip() + "}",          # an extra closing brace
                 "[" + text.rstrip() + "]",    # a top-level array
-                text.rstrip() + " x"):        # trailing junk
+                text.rstrip() + " x",         # trailing junk
+                '{"leaf": \u0663}',           # a non-ASCII digit
+                '{"leaf": 03}',               # a leading zero
+                '{"leaf":\u00a00}',           # non-JSON whitespace
+                '{"op": "T\x01", "l": {"leaf": 0}, "r": {"leaf": 1}}',  # a control character
+                '{"op": "T", "r": {"leaf": 1}, "l": {"leaf": 0}}'):     # "r" before "l"
         with pytest.raises(TreeError):
             dectree.loads(bad)
 

@@ -72,6 +72,17 @@ def test_decompose_disconnected_saturates():
     assert dp.solve(t).gamma_p == dp.INF
 
 
+def test_decompose_many_components_round_trips_through_json():
+    # three isolated vertices, then K2 + P3 + isolated vertex + K2
+    for g in (build_graph(3, []),
+              build_graph(8, [(0, 1), (2, 3), (3, 4), (6, 7)])):
+        t = decompose(g)
+        assert dectree.validate(t) == []
+        again = dectree.loads(dectree.dumps(t))
+        assert again == t
+        assert _expands_equal(again, g)
+
+
 def test_decompose_path_and_star():
     for g in (build_graph(6, [(i, i + 1) for i in range(5)]),
               build_graph(6, [(0, i) for i in range(1, 6)])):
