@@ -2,7 +2,9 @@
 
 Subcommands: solve, gen, check, bench, oracle. Exit codes: 0 success,
 1 failed check, 2 parse/usage error, 3 input not distance-hereditary,
-4 oracle size guard exceeded. PDOM_SEED provides the default seed.
+4 oracle size guard exceeded, 5 internal error (a self-check of
+recognition, the solver or the witness failed). PDOM_SEED provides the
+default seed.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_NOT_DH = 3
 EXIT_ORACLE_GUARD = 4
+EXIT_INTERNAL = 5
 
 
 class CliError(Exception):
@@ -90,6 +93,13 @@ def _peak_rss_bytes():
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     # macOS reports ru_maxrss in bytes, Linux and the BSDs in KiB
     return peak if sys.platform == "darwin" else peak * 1024
+
+
+def _internal_errors() -> tuple:
+    """Exceptions that mean pairdom itself is wrong, not its input."""
+    from .witness import WitnessError
+
+    return recognition.DecomposeError, dp.DpError, WitnessError
 
 
 def _edge_count(tree, states) -> int:
@@ -310,6 +320,10 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
+    # evaluated only once an exception propagates, so witness stays unloaded
+    except _internal_errors() as exc:
+        print(f"error: internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -1,21 +1,34 @@
 """Recognize distance-hereditary graphs and build a decomposition tree.
 
-The construction prunes one vertex at a time — a pendant vertex, a true
-twin, or a false twin — until one vertex remains, then replays the sequence
-in reverse as leaf replacements. A graph with no prunable vertex at some
-stage is not distance-hereditary.
+A connected graph is distance-hereditary exactly when it prunes down to one
+vertex by repeatedly removing a pendant vertex, a true twin or a false twin
+(Bandelt & Mulder 1986), and any such removal keeps it distance-hereditary.
+`decompose` prunes each component in one worklist pass and replays the
+removals in reverse as leaf replacements. Any pruning order replays into an
+exact tree, so the first removal found is taken.
 
-Any pruning order replays into a tree whose expansion is the input graph,
-so the first order found is used. The result is still checked against a hard
-postcondition: expanding the returned tree reproduces the input edge set
-exactly.
+Twins are found by hashing neighbourhoods, the hashing form of the linear
+pruning of Hammer & Maffray (1990). Each vertex v gets a random 64-bit key
+from a fixed seed, so the output is deterministic. h(v) is the sum of the
+keys of v's neighbours: vertices with equal open neighbourhoods (false
+twins) share h(v), and vertices with equal closed neighbourhoods (true
+twins) share h(v) + key(v). The hash only proposes a twin; the actual
+neighbour sets decide. Removing a vertex u costs O(deg u): each neighbour's
+hash drops by key(u) and the neighbour goes back on the worklist. A pass
+therefore takes O(n + m) expected time. When the worklist runs dry with
+more than one vertex left, no remaining vertex is a pendant or a twin, and
+the graph is not distance-hereditary.
+
+The result is still checked against a hard postcondition: expanding the
+returned tree reproduces the input adjacency exactly.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import Optional, Sequence
 
 from . import dectree
 from .dectree import DecompTree
@@ -48,6 +61,10 @@ class DecomposeError(RuntimeError):
     """The built tree failed the round-trip postcondition: implementation bug."""
 
 
+# fixed, so that the same graph always gets the same tree
+_KEY_SEED = 0x9E3779B97F4A7C15
+
+
 def _reductions_at(adj: dict[int, set], u: int):
     """All valid reductions removing u, in kind-then-anchor order."""
     nu = adj[u]
@@ -74,22 +91,17 @@ _KIND_ORDER = {ReductionKind.PENDANT: 0,
 
 def find_reduction(g: Graph) -> Optional[Reduction]:
     """Deterministic choice: smallest removed id, then pendant < true twin
-    < false twin, then smallest anchor."""
-    return _first_reduction({v: set(g.adjacency[v]) for v in range(g.n)})
+    < false twin, then smallest anchor.
 
-
-def _first_reduction(adj: dict[int, set]) -> Optional[Reduction]:
-    for u in sorted(adj):
+    A scan over all vertex pairs, kept as the reference the tests check
+    one pruning step against; `decompose` does not use it.
+    """
+    adj = {v: set(g.adjacency[v]) for v in range(g.n)}
+    for u in range(g.n):
         cands = _reductions_at(adj, u)
         if cands:
             return cands[0]
     return None
-
-
-def _apply(adj: dict[int, set], r: Reduction) -> None:
-    for w in adj[r.removed]:
-        adj[w].discard(r.removed)
-    del adj[r.removed]
 
 
 def _build_tree(last: int, reductions: list[Reduction]) -> DecompTree:
@@ -128,22 +140,64 @@ def _build_tree(last: int, reductions: list[Reduction]) -> DecompTree:
     return DecompTree(tuple(nodes), len(nodes) - 1)
 
 
-def _decompose_adj(adj: dict[int, set]) -> DecompTree:
-    """Connected component given as adjacency over original vertex ids,
-    which the pruning consumes.
+def _unfile(buckets: dict[int, list], hv: int, v: int) -> None:
+    filed = buckets[hv]
+    if len(filed) == 1:
+        del buckets[hv]
+    else:
+        filed.remove(v)
 
-    Any pruning sequence replays into an exact tree: re-adding a removed
-    pendant, true twin or false twin at its anchor's leaf as A, T or F
-    restores exactly that vertex's edges (Bandelt & Mulder 1986), so the
-    greedy order is always good enough.
+
+def _decompose_adj(adj: dict[int, set], key: Sequence[int]) -> DecompTree:
+    """Prune one connected component, given as adjacency sets over original
+    vertex ids (which the pruning consumes), in one worklist pass.
+
+    Every remaining vertex is either on the worklist or filed in the buckets
+    under its current hashes, and no two filed vertices are twins. Removing
+    u changes only the neighbourhoods of u's neighbours, so only they are
+    unfiled, rehashed and put back on the worklist. When the worklist runs
+    dry, no remaining vertex is a pendant or a twin.
     """
+    h = {v: sum(key[w] for w in nv) for v, nv in adj.items()}
+    false_bk: dict[int, list] = {}  # h(v) -> filed vertices
+    true_bk: dict[int, list] = {}   # h(v) + key(v) -> filed vertices
+    work = list(reversed(adj))      # popped smallest id first
+    queued = set(work)
     seq: list[Reduction] = []
     while len(adj) > 1:
-        red = _first_reduction(adj)
-        if red is None:
+        if not work:
             raise NotDistanceHereditary(adj.keys())
-        _apply(adj, red)
+        u = work.pop()
+        queued.remove(u)
+        nu, hu, ku = adj[u], h[u], key[u]
+        red = None
+        if len(nu) == 1:
+            red = Reduction(ReductionKind.PENDANT, u, next(iter(nu)))
+        else:
+            # a bucket hit only proposes a twin; the actual sets decide
+            for w in true_bk.get(hu + ku, ()):
+                if adj[w] | {w} == nu | {u}:
+                    red = Reduction(ReductionKind.TRUE_TWIN, u, w)
+                    break
+            else:
+                for w in false_bk.get(hu, ()):
+                    if adj[w] == nu:
+                        red = Reduction(ReductionKind.FALSE_TWIN, u, w)
+                        break
+        if red is None:
+            false_bk.setdefault(hu, []).append(u)
+            true_bk.setdefault(hu + ku, []).append(u)
+            continue
         seq.append(red)
+        del adj[u]
+        for w in nu:
+            adj[w].remove(u)
+            if w not in queued:
+                _unfile(false_bk, h[w], w)
+                _unfile(true_bk, h[w] + key[w], w)
+                queued.add(w)
+                work.append(w)
+            h[w] -= ku
     (last,) = adj
     return _build_tree(last, seq)
 
@@ -175,13 +229,15 @@ def decompose(g: Graph) -> DecompTree:
     """
     if g.n == 0:
         raise ValueError("cannot decompose the empty graph")
+    rng = random.Random(_KEY_SEED)
+    key = [rng.getrandbits(64) for _ in range(g.n)]
     # splice the component trees into one node array, each followed by the
     # ⊙ join with everything before it, so every subtree stays one block
     nodes: list[tuple] = []
     for comp in _components(g):
-        adj = {v: {w for w in g.adjacency[v]} for v in comp}
+        adj = {v: set(g.adjacency[v]) for v in comp}
         off = len(nodes)  # the root of everything before ends at off - 1
-        for nd in _decompose_adj(adj).nodes:
+        for nd in _decompose_adj(adj, key).nodes:
             if nd[0] == dectree.LEAF:
                 nodes.append(nd)
             else:
@@ -191,7 +247,8 @@ def decompose(g: Graph) -> DecompTree:
     result = DecompTree(tuple(nodes), len(nodes) - 1)
 
     expanded, _ = dectree.expand(result)
-    if set(expanded.edges()) != set(g.edges()) or expanded.n != g.n:
+    # both adjacencies come from build_graph: sorted tuples, one per vertex
+    if expanded.adjacency != g.adjacency:
         raise DecomposeError("round-trip postcondition failed")  # pragma: no cover
     return result
 

@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import subprocess
@@ -52,6 +53,26 @@ def test_solve_not_dh_exits_3(capsys, data_dir):
     code, _, err = run(capsys, "solve", "--graph", str(data_dir / "c5.txt"))
     assert code == 3
     assert "not distance-hereditary" in err
+
+
+@pytest.mark.parametrize("module, name, error", [
+    ("recognition", "decompose", "DecomposeError"),
+    ("dp", "solve", "DpError"),
+    ("witness", "reconstruct_witness", "WitnessError"),
+])
+def test_solve_internal_error_exits_5(capsys, data_dir, monkeypatch,
+                                      module, name, error):
+    mod = importlib.import_module(f"pairdom.{module}")
+
+    def broken(*args, **kwargs):
+        raise getattr(mod, error)("self-check failed")
+
+    monkeypatch.setattr(mod, name, broken)
+    code, out, err = run(capsys, "solve", "--graph", str(data_dir / "ex7.txt"),
+                         "--witness")
+    assert code == 5
+    assert out == ""
+    assert err == "error: internal error: self-check failed\n"
 
 
 def test_solve_json_round_trips(capsys, data_dir):

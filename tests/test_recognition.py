@@ -5,7 +5,7 @@ import pytest
 
 from conftest import cycle_graph
 from pairdom import dectree, dp
-from pairdom.graph import build_graph
+from pairdom.graph import build_graph, induced_subgraph
 from pairdom.recognition import (
     NotDistanceHereditary,
     Reduction,
@@ -121,3 +121,42 @@ def test_is_dh_agrees_with_oracle_small():
                  if rng.random() < p]
         g = build_graph(n, edges)
         assert is_distance_hereditary(g) == oracle_is_dh(g), (seed, edges)
+
+
+def _relabeled(g, seed):
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    return build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def test_decompose_scales_to_10k_vertex_graph():
+    src = dectree.generate(10_000, 5, (1, 1, 4))
+    g = _relabeled(dectree.expand(src)[0], 5)
+    t = decompose(g)
+    assert _expands_equal(t, g)
+    assert dp.solve(t).gamma_p == dp.solve(src).gamma_p
+
+
+def test_decompose_long_path_and_big_star():
+    path = build_graph(3000, [(i, i + 1) for i in range(2999)])
+    star = build_graph(10_000, [(0, i) for i in range(1, 10_000)])
+    for g in (path, star):
+        assert _expands_equal(decompose(g), g)
+
+
+def test_decompose_is_deterministic():
+    g = _relabeled(dectree.expand(dectree.generate(2000, 9))[0], 9)
+    assert decompose(g) == decompose(g)
+
+
+def test_decompose_remnant_is_stuck():
+    # a C5 on five new vertices, tied to a DH graph by one edge, ids shuffled
+    dh, _ = dectree.expand(dectree.generate(2000, 3, (1, 1, 4)))
+    n = dh.n
+    hole = [(n + i, n + (i + 1) % 5) for i in range(5)]
+    g = _relabeled(build_graph(n + 5, dh.edges() + hole + [(0, n)]), 3)
+    with pytest.raises(NotDistanceHereditary) as exc:
+        decompose(g)
+    remnant = exc.value.remnant
+    assert len(remnant) >= 5
+    assert find_reduction(induced_subgraph(g, remnant)[0]) is None
