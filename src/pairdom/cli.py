@@ -3,8 +3,8 @@
 Subcommands: solve, gen, check, bench, oracle. Exit codes: 0 success,
 1 failed check, 2 parse/usage error, 3 input not distance-hereditary,
 4 oracle size guard exceeded, 5 internal error (a self-check of
-recognition, the solver or the witness failed). PDOM_SEED provides the
-default seed.
+recognition, the solver or the witness failed), 6 out of memory.
+PDOM_SEED provides the default seed.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ EXIT_USAGE = 2
 EXIT_NOT_DH = 3
 EXIT_ORACLE_GUARD = 4
 EXIT_INTERNAL = 5
+EXIT_OUT_OF_MEMORY = 6
 
 
 class CliError(Exception):
@@ -324,6 +325,9 @@ def main(argv=None) -> int:
     except _internal_errors() as exc:
         print(f"error: internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return EXIT_OUT_OF_MEMORY
 
 
 if __name__ == "__main__":

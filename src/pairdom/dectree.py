@@ -131,11 +131,12 @@ def twin_sets(t: DecompTree, node: Optional[int] = None) -> Iterator[tuple]:
     (the whole tree by default), children first.
 
     Yields (i, label, ts_l, ts_r, ts) for each node i of the subtree: its
-    label, its children's twin sets (None for a leaf) and its own, as
-    frozensets of vertices. A leaf's twin set is its vertex; an "A" node
-    keeps its left child's (the same object), "T" and "F" nodes take the
-    union. The subtree is the block of nodes ending at `node`, so the walk
-    reads only the subtree's nodes. `t` must be valid.
+    label, its children's twin lists (None for a leaf) and the list that
+    becomes its own. A leaf's is [vertex], an "A" node keeps its left
+    child's, and a "T" or "F" node appends the shorter child list to the
+    longer (ts) once the item is used, so a chain of joins costs linear
+    time and ts is whole once the walk has moved past it. The walk reads
+    only the block of nodes ending at `node`. `t` must be valid.
     """
     nodes = t.nodes
     last = t.root if node is None else node
@@ -146,14 +147,16 @@ def twin_sets(t: DecompTree, node: Optional[int] = None) -> Iterator[tuple]:
     for i in range(first, last + 1):
         nd = nodes[i]
         if nd[0] == LEAF:
-            ts = twin[i - first] = frozenset((nd[1],))
+            ts = twin[i - first] = [nd[1]]
             yield i, LEAF, None, None, ts
             continue
         label, left, right = nd
         ts_l, ts_r = twin[left - first], twin[right - first]
         twin[left - first] = twin[right - first] = None  # each node has one parent
-        ts = twin[i - first] = ts_l if label == ATTACH else ts_l | ts_r
+        ts = twin[i - first] = ts_l if label == ATTACH or len(ts_l) >= len(ts_r) else ts_r
         yield i, label, ts_l, ts_r, ts
+        if label != ATTACH:
+            ts.extend(ts_r if ts is ts_l else ts_l)
 
 
 def expand(t: DecompTree) -> tuple[Graph, tuple[int, ...]]:

@@ -1,227 +1,219 @@
-"""Reconstruct an explicit minimum paired-dominating set from DP states.
+"""Reconstruct a minimum paired-dominating set from the solver's states.
 
-Certificate-carrying re-descent: for a tree node v and exemption count k we
-materialize a small pool of representative certificates (D, X, M) where D is
-a set of size gamma_k achieving the DP value, X the k unpaired twin-set
-vertices, and M an explicit perfect matching of D - X. Pools keep up to three
-variants per (v, 0) — a plain one, one hitting the twin set, and one that is
-already paired-dominating — because an attachment parent may need any of
-them to dominate the right child's twin set.
-
-Every certificate is validated directly against the expanded graph before
-use, so a reconstruction bug cannot produce a silently wrong witness. Count
-mode never calls into this module; witness mode may cost more than linear
-time (it materializes vertex sets per node).
+A node's twin set TS holds its vertices that later T/A joins connect to. A
+k-set of a node has size gamma_k, dominates the subtree outside TS, leaves
+k vertices of D n TS *exempt* (for a parent to pair) and matches the rest.
+The downward loop (parents first) asks each node for a k-set, perhaps
+needing it to hit or dominate TS, or for a paired-dominating set, and
+splits that by the stored curves and mty flags into requests to its
+children. The upward loop (children first) forms the pairs across T and A
+bicliques; each node hands its exempt vertices and its twin-set vertices
+not in D up as two lists, the shorter appended to the longer. `_check`
+then verifies the pairs against the tree alone in O(n).
 """
 
 from __future__ import annotations
 
-import sys
-from typing import Optional, Sequence
+import functools
+from itertools import chain
+from typing import Sequence
 
-from . import dectree
-from .dectree import DecompTree
+from .dectree import ATTACH, FALSE_TWIN, LEAF, TRUE_TWIN, DecompTree
 from .dp import INF, NodeState, eval_gamma_k
-from .graph import Graph, is_dominating
 
-Cert = tuple[frozenset, frozenset, tuple]  # (D, X, matching pairs)
-
-PLAIN, TSHIT, PAIRED = 0, 1, 2  # pool slots
+PDS = -1  # request for a minimum paired-dominating set of the subtree
+HIT, DOM = 1, 2  # needs of a k = 0 request: D hits TS, D dominates TS
+PAIR = 4  # node flag: add one pair across the biclique
 
 
 class WitnessError(RuntimeError):
-    """No valid witness certificate could be assembled (or gamma_p infinite)."""
+    """No valid witness could be assembled (or gamma_p is infinite)."""
 
 
-class _Reconstructor:
-    def __init__(self, t: DecompTree, states: Sequence[NodeState]):
-        self.t = t
-        self.states = states
-        self.g, _ = dectree.expand(t)
-        self.vhat: list[frozenset] = []
-        self.twin: list[frozenset] = []
-        for i, label, _, _, ts in dectree.twin_sets(t):
-            self.twin.append(ts)
-            if label == dectree.LEAF:
-                self.vhat.append(ts)  # a leaf's vertex set is its twin set
-            else:
-                _, left, right = t.nodes[i]
-                self.vhat.append(self.vhat[left] | self.vhat[right])
-        self._rep_cache: dict[tuple[int, int], list[Optional[Cert]]] = {}
+def _candidates(s: NodeState) -> tuple[int, ...]:
+    """Where k -> gamma_k, convex on each parity class of k, bends or ends."""
+    a, b, ts = s.alpha, s.beta, s.ts_size
+    return 0, 1, a - 1, a, a + 1, b - 1, b, b + 1, ts - 1, ts
 
-    # --- certificate validation -------------------------------------------
 
-    def _valid_cert(self, node: int, k: int, cert: Cert) -> bool:
-        d, x, m = cert
-        ts = self.twin[node]
-        if len(x) != k or not x <= d or not x <= ts:
-            return False
-        if len(d) != eval_gamma_k(self.states[node], k):
-            return False
-        matched = [v for pair in m for v in pair]
-        if len(set(matched)) != len(matched) or set(matched) != set(d - x):
-            return False
-        if any(not self.g.has_edge(a, b) for a, b in m):
-            return False
-        return is_dominating(self.g, d, self.vhat[node] - ts)
+@functools.cache
+def _child_needs(label: str, need: int, ts_l: bool, pr_l: bool,
+                 ts_r: bool, pr_r: bool):
+    """Needs (need_l, need_r) of children both asked for k = 0, or None. A
+    child's 0-set can hit its TS unless mty_ts, dominate it unless mty_pr,
+    and do both unless either; the parent's need and label decide the rest."""
+    allowed_l = [n for n in range(4) if not (n & HIT and ts_l or n & DOM and pr_l)]
+    allowed_r = [n for n in range(4) if not (n & HIT and ts_r or n & DOM and pr_r)]
+    for nl in allowed_l:
+        for nr in allowed_r:
+            hl, dl, hr, dr = nl & HIT, nl & DOM, nr & HIT, nr & DOM
+            if label == FALSE_TWIN:  # no edges between the sides
+                ok, hit, dom = True, hl or hr, dl and dr
+            elif label == TRUE_TWIN:  # a D vertex in one TS sees all the other
+                ok, hit, dom = True, hl or hr, (hl or dr) and (hr or dl)
+            else:  # A: TS is the left one, the right TS must be dominated now
+                ok, hit, dom = hl or dr, hl, hr or dl
+            if ok and (hit or not need & HIT) and (dom or not need & DOM):
+                return nl, nr
+    return None
 
-    def _pair_dominating(self, node: int, cert: Cert) -> bool:
-        d, x, _ = cert
-        return not x and is_dominating(self.g, d, self.vhat[node])
 
-    # --- representative pools ---------------------------------------------
+def _split(i: int, label: str, k: int, need: int, sl: NodeState,
+           sr: NodeState, target: int) -> tuple[int, int, int, int]:
+    """(kl, kr, need_l, need_r) for a k-set request with `need` at node i.
 
-    def rep(self, node: int, k: int) -> list[Optional[Cert]]:
-        """Certificates for D of size gamma_k at `node`; slot layout
-        [PLAIN, TSHIT, PAIRED], entries None when not found/not applicable."""
-        key = (node, k)
-        if key in self._rep_cache:
-            return self._rep_cache[key]
-        pool: list[Optional[Cert]] = [None, None, None]
-        self._rep_cache[key] = pool  # trees are acyclic: no re-entry on key
-        want_variants = k == 0
-        for cert in self._candidates(node, k):
-            if not self._valid_cert(node, k, cert):
+    k = kl + kr at F nodes, kl - kr at A nodes (all kr are paired) and
+    kl + kr - 2h at T nodes (h pairs, 0 <= h <= min(kl, kr)). So at a T node
+    kr runs over |kl - k| .. kl + k in steps of two, and the best one is
+    alpha_r, or next to it, clamped to that range. The children's sum is
+    convex on each parity class of kl, with bends at a bend of the left
+    curve or a bend of the right one shifted by k: the kl tried below.
+    """
+    cr = _candidates(sr)
+    for kl in chain(_candidates(sl), (c + k for c in cr), (c - k for c in cr),
+                    (k - c for c in cr)):
+        if not 0 <= kl <= sl.ts_size:
+            continue
+        if label == FALSE_TWIN:
+            kr = k - kl
+        elif label == ATTACH:
+            kr = kl - k
+        else:
+            lo, hi = abs(kl - k), min(kl + k, sr.ts_size)
+            hi -= (hi - lo) % 2
+            if lo > hi:
                 continue
-            if pool[PLAIN] is None:
-                pool[PLAIN] = cert
-            if want_variants:
-                if pool[TSHIT] is None and cert[0] & self.twin[node]:
-                    pool[TSHIT] = cert
-                if pool[PAIRED] is None and self._pair_dominating(node, cert):
-                    pool[PAIRED] = cert
-                if pool[TSHIT] and pool[PAIRED]:
-                    break
-            else:
-                break
-        return pool
+            a = sr.alpha  # the lowest point of lo's parity is alpha or next to it
+            kr = min(max(a if (lo - a) % 2 == 0 else abs(a - 1), lo), hi)
+        if not 0 <= kr <= sr.ts_size:
+            continue
+        if eval_gamma_k(sl, kl) + eval_gamma_k(sr, kr) != target:
+            continue
+        if kl or kr:  # needs come with k = 0, so kl = kr > 0 hit both TS
+            return kl, kr, 0, 0
+        needs = _child_needs(label, need, sl.mty_ts, sl.mty_pr, sr.mty_ts, sr.mty_pr)
+        if needs is not None:
+            return 0, 0, *needs
+    raise WitnessError(f"node {i}: no split of k={k} (needs {need}) "
+                       f"reaches gamma_k={target}")
 
-    def _child_pools(self, left: int, kl: int, right: int, kr: int):
-        for cl in self.rep(left, kl):
-            if cl is None:
+
+def _merge(a: list, b: list) -> list:
+    """a and b as one list: the shorter is appended to the longer."""
+    if len(a) < len(b):
+        a, b = b, a
+    a.extend(b)
+    return a
+
+
+def _certificate(t: DecompTree, states: Sequence[NodeState]) -> list[tuple[int, int, int]]:
+    """The pairs (node, u, v) of a minimum paired-dominating set of a valid
+    tree's graph: u and v are matched, and `node` is the T or A node whose
+    biclique joins them (u on its left, v on its right)."""
+    nodes = t.nodes
+    if states[t.root].gamma_p == INF:
+        raise WitnessError("gamma_p is infinite: no witness exists")
+    want = [0] * len(nodes)  # per node: the k of its request, or PDS
+    need = bytearray(len(nodes))  # HIT/DOM needs of a k = 0 request, PAIR
+    want[t.root] = PDS
+    for i in range(t.root, -1, -1):
+        nd = nodes[i]
+        if nd[0] == LEAF:
+            continue
+        label, left, right = nd
+        k = want[i]
+        if k == PDS:
+            if label == FALSE_TWIN:  # two components: one set for each
+                want[left] = want[right] = PDS
                 continue
-            for cr in self.rep(right, kr):
-                if cr is None:
-                    continue
-                yield cl, cr
+            k = want[i] = 0
+            need[i] = PAIR if states[i].mty_pr else DOM
+        want[left], want[right], need[left], need[right] = _split(
+            i, label, k, need[i] & (HIT | DOM), states[left], states[right],
+            eval_gamma_k(states[i], k))
 
-    def _candidates(self, node: int, k: int):
-        t = self.t
-        if t.is_leaf(node):
-            v = t.leaf_vertex(node)
-            if k == 0:
-                yield frozenset(), frozenset(), ()
-            else:
-                yield frozenset((v,)), frozenset((v,)), ()
-            return
-        left, right = t.children(node)
-        sl, sr = self.states[left], self.states[right]
-        label = t.label(node)
-        target = eval_gamma_k(self.states[node], k)
+    pairs: list[tuple[int, int, int]] = []
+    exempt: list = [None] * len(nodes)
+    free: list = [None] * len(nodes)  # twin-set vertices not in D
+    for i, nd in enumerate(nodes):
+        if nd[0] == LEAF:
+            exempt[i], free[i] = ([nd[1]], []) if want[i] == 1 else ([], [nd[1]])
+            continue
+        label, left, right = nd
+        ex_l, ex_r, free_l, free_r = exempt[left], exempt[right], free[left], free[right]
+        exempt[left] = exempt[right] = free[left] = free[right] = None
+        if need[i] & PAIR:
+            if not (free_l and free_r):
+                raise WitnessError(f"node {i}: no twin-set vertex is left to add a pair")
+            pairs.append((i, free_l.pop(), free_r.pop()))
+        # h = (kl + kr - k) / 2 cross pairs: 0 at an F node, kr at an A node
+        for _ in range((len(ex_l) + len(ex_r) - want[i]) // 2):
+            pairs.append((i, ex_l.pop(), ex_r.pop()))
+        if label == ATTACH:
+            exempt[i], free[i] = ex_l, free_l
+        else:
+            exempt[i], free[i] = _merge(ex_l, ex_r), _merge(free_l, free_r)
+    return pairs
 
-        if label == dectree.FALSE_TWIN:
-            for kl in range(0, min(k, sl.ts_size) + 1):
-                kr = k - kl
-                if kr > sr.ts_size:
-                    continue
-                if eval_gamma_k(sl, kl) + eval_gamma_k(sr, kr) != target:
-                    continue
-                for (dl, xl, ml), (dr, xr, mr) in self._child_pools(left, kl, right, kr):
-                    yield dl | dr, xl | xr, ml + mr
-            return
 
-        if label == dectree.TRUE_TWIN:
-            # h exempt vertices from each side pair up across the new biclique
-            for kl in range(0, sl.ts_size + 1):
-                for kr in range(0, sr.ts_size + 1):
-                    h2 = kl + kr - k
-                    if h2 < 0 or h2 % 2:
-                        continue
-                    h = h2 // 2
-                    if h > kl or h > kr:
-                        continue
-                    if eval_gamma_k(sl, kl) + eval_gamma_k(sr, kr) != target:
-                        continue
-                    for (dl, xl, ml), (dr, xr, mr) in self._child_pools(left, kl, right, kr):
-                        a, b = sorted(xl), sorted(xr)
-                        cross = tuple(zip(a[:h], b[:h]))
-                        yield (dl | dr,
-                               frozenset(a[h:]) | frozenset(b[h:]),
-                               ml + mr + cross)
-            return
-
-        # attachment: the exempt set must live in the surviving left twin
-        # set, so every right exemption cross-pairs with a left one; an
-        # optional extra unpaired left twin vertex covers the case where the
-        # right child's twin set would otherwise go undominated
-        for extra in (0, 1):
-            for kl in range(0, sl.ts_size + 1):
-                kr = kl + extra - k
-                if not (0 <= kr <= sr.ts_size):
-                    continue
-                if kr > kl:
-                    continue
-                if eval_gamma_k(sl, kl) + eval_gamma_k(sr, kr) + extra != target:
-                    continue
-                for (dl, xl, ml), (dr, xr, mr) in self._child_pools(left, kl, right, kr):
-                    a, b = sorted(xl), sorted(xr)
-                    cross = tuple(zip(a[:kr], b))
-                    base_d = dl | dr
-                    base_x = frozenset(a[kr:])
-                    base_m = ml + mr + cross
-                    if not extra:
-                        yield base_d, base_x, base_m
-                        continue
-                    for v in sorted(self.twin[left] - base_d):
-                        yield base_d | {v}, base_x | {v}, base_m
-
-    # --- minimum paired-dominating sets ------------------------------------
-
-    def pds(self, node: int) -> Cert:
-        t = self.t
-        s = self.states[node]
-        if s.gamma_p == INF:
-            raise WitnessError(f"node {node} admits no paired-dominating set")
-        if t.label(node) == dectree.FALSE_TWIN:
-            left, right = t.children(node)
-            dl, _, ml = self.pds(left)
-            dr, _, mr = self.pds(right)
-            return dl | dr, frozenset(), ml + mr
-        # true twin or attachment (a bare leaf always has infinite gamma_p)
-        if not s.mty_pr:
-            cert = self.rep(node, 0)[PAIRED]
-            if cert is not None:
-                return cert
-            raise WitnessError(f"node {node}: no paired k=0 representative found")
-        left, right = t.children(node)
-        for cert in self.rep(node, 0):
-            if cert is None:
-                continue
-            d, _, m = cert
-            # adjoin a cross pair through the biclique to dominate both sides
-            for xv in sorted(self.twin[left] - d):
-                for yv in sorted(self.twin[right] - d):
-                    cand = d | {xv, yv}
-                    if is_dominating(self.g, cand, self.vhat[node]):
-                        return cand, frozenset(), m + ((xv, yv),)
-        raise WitnessError(f"node {node}: could not extend a k=0 set to a pair")
+def _check(t: DecompTree, pairs: Sequence[tuple[int, int, int]]) -> None:
+    """Raise WitnessError unless the pairs (node, u, v) are edges of the
+    tree's graph on distinct vertices that dominate it. u and v are adjacent
+    when the T or A node's left child's twin set holds u and its right
+    child's holds v; v is dominated when it is in D or a D vertex outside a
+    subtree sees a twin set that holds v."""
+    nodes = t.nodes
+    n = t.n_leaves
+    in_d = bytearray(n)
+    for _, u, v in pairs:
+        for w in (u, v):
+            if not 0 <= w < n or in_d[w]:
+                raise WitnessError(f"vertex {w} is repeated or outside 0..{n - 1}")
+            in_d[w] = 1
+    # children first: the first node of each subtree's block, and whether D
+    # hits the twin set
+    leaf_of = [0] * n
+    first = list(range(len(nodes)))
+    hit = bytearray(len(nodes))
+    for i, nd in enumerate(nodes):
+        if nd[0] == LEAF:
+            leaf_of[nd[1]] = i
+            hit[i] = in_d[nd[1]]
+        else:
+            label, left, right = nd
+            first[i] = first[left]
+            hit[i] = hit[left] or (label != ATTACH and hit[right])
+    # parents first: whether a D vertex outside the subtree sees the whole
+    # twin set, and the highest node whose twin set still holds it
+    seen = bytearray(len(nodes))
+    top = list(range(len(nodes)))
+    for i in range(t.root, -1, -1):
+        nd = nodes[i]
+        if nd[0] == LEAF:
+            if not (seen[i] or in_d[nd[1]]):
+                raise WitnessError(f"vertex {nd[1]} is not dominated")
+            continue
+        label, left, right = nd
+        join = label != FALSE_TWIN
+        seen[left] = seen[i] or (join and hit[right])
+        seen[right] = (seen[i] and label != ATTACH) or (join and hit[left])
+        top[left] = top[i]
+        if label != ATTACH:
+            top[right] = top[i]
+    for j, u, v in pairs:
+        nd = nodes[j]
+        x, y = leaf_of[u], leaf_of[v]
+        if (nd[0] not in (TRUE_TWIN, ATTACH)
+                or not first[nd[1]] <= x <= nd[1] < y <= nd[2]
+                or top[x] < nd[1] or top[y] < nd[2]):
+            raise WitnessError(f"node {j}: pair ({u}, {v}) is not an edge")
 
 
 def reconstruct_witness(t: DecompTree, states: Sequence[NodeState]) -> tuple[int, ...]:
-    if states[t.root].gamma_p == INF:
-        raise WitnessError("gamma_p is infinite: no witness exists")
-    depth_budget = 2 * len(t.nodes) + 100
-    old_limit = sys.getrecursionlimit()
-    if old_limit < depth_budget:
-        sys.setrecursionlimit(depth_budget)
-    try:
-        r = _Reconstructor(t, states)
-        d, _, m = r.pds(t.root)
-    finally:
-        sys.setrecursionlimit(old_limit)
-    if len(d) != states[t.root].gamma_p:
-        raise WitnessError(
-            f"witness size {len(d)} != gamma_p {states[t.root].gamma_p}")
-    if sorted(v for pair in m for v in pair) != sorted(d):
-        raise WitnessError("witness matching does not cover the witness set")
-    return tuple(sorted(d))
+    """A minimum paired-dominating set of a valid tree's graph, sorted."""
+    pairs = _certificate(t, states)
+    _check(t, pairs)
+    if 2 * len(pairs) != states[t.root].gamma_p:
+        raise WitnessError(f"witness size {2 * len(pairs)} != gamma_p "
+                           f"{states[t.root].gamma_p}")
+    return tuple(sorted(w for _, u, v in pairs for w in (u, v)))

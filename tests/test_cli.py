@@ -75,6 +75,15 @@ def test_solve_internal_error_exits_5(capsys, data_dir, monkeypatch,
     assert err == "error: internal error: self-check failed\n"
 
 
+def test_solve_out_of_memory_exits_6(capsys, data_dir, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(pairdom.dp, "solve", exhausted)
+    code, out, err = run(capsys, "solve", "--tree", str(data_dir / "ex7_tree.json"))
+    assert (code, out, err) == (6, "", "error: out of memory\n")
+
+
 def test_solve_json_round_trips(capsys, data_dir):
     code, out, _ = run(capsys, "solve", "--graph", str(data_dir / "ex7.txt"),
                        "--witness", "--json")
@@ -100,12 +109,15 @@ def test_solve_deep_star_tree_subprocess(tmp_path):
     src = str(Path(pairdom.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run(
-        [sys.executable, "-m", "pairdom", "solve", "--tree", str(path), "--json"],
-        capture_output=True, text=True, env=env, timeout=300)
-    assert proc.returncode == 0, proc.stderr[-2000:]
-    report = json.loads(proc.stdout)
-    assert (report["n"], report["m"], report["gamma_p"]) == (n, n - 1, 2)
+    for flags in (["--json"], ["--witness", "--json"]):
+        proc = subprocess.run(
+            [sys.executable, "-m", "pairdom", "solve", "--tree", str(path), *flags],
+            capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        report = json.loads(proc.stdout)
+        assert (report["n"], report["m"], report["gamma_p"]) == (n, n - 1, 2)
+    # every edge of the star meets its centre 0
+    assert len(set(report["witness"])) == 2 and 0 in report["witness"]
 
 
 def test_solve_json_null_gamma(capsys, data_dir):

@@ -140,7 +140,13 @@ def test_decompose_scales_to_10k_vertex_graph():
 def test_decompose_long_path_and_big_star():
     path = build_graph(3000, [(i, i + 1) for i in range(2999)])
     star = build_graph(10_000, [(0, i) for i in range(1, 10_000)])
-    for g in (path, star):
+    # 20 000 vertices share the neighbourhood {a, b}, and a path a-p-q keeps
+    # a and b from being twins: the 20 000 prune into one chain of F joins
+    k = 20_000
+    a, b, p, q = k, k + 1, k + 2, k + 3
+    twins = build_graph(k + 4, [(v, x) for v in range(k) for x in (a, b)]
+                        + [(a, p), (p, q)])
+    for g in (path, star, twins):
         assert _expands_equal(decompose(g), g)
 
 
