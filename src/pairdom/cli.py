@@ -12,11 +12,10 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import statistics
 import sys
 import time
 
-from . import dectree, dp, oracle, recognition
+from . import dectree, dp
 from .graph import GraphError, format_graph_text, is_dominating, parse_graph_text
 
 EXIT_OK = 0
@@ -98,6 +97,7 @@ def _peak_rss_bytes():
 
 def _internal_errors() -> tuple:
     """Exceptions that mean pairdom itself is wrong, not its input."""
+    from . import recognition
     from .witness import WitnessError
 
     return recognition.DecomposeError, dp.DpError, WitnessError
@@ -116,6 +116,8 @@ def cmd_solve(args) -> int:
         raise CliError("exactly one of --graph/--tree is required")
     t0 = time.perf_counter()
     if args.graph:
+        from . import recognition
+
         g = _load_graph(args.graph)
         instance = args.graph
         try:
@@ -210,6 +212,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    import statistics
+
     sizes = [int(s) for s in _parse_ids(args.sizes)]
     if not sizes or any(s < 1 for s in sizes):
         raise CliError("--sizes needs positive integers")
@@ -219,25 +223,30 @@ def cmd_bench(args) -> int:
         t0 = time.perf_counter()
         tree = dectree.generate(n, seed)
         t_gen = time.perf_counter() - t0
-        times = []
+        text = dectree.dumps(tree)
+        solve_times, loads_times = [], []
         for _ in range(args.repeats):
             t0 = time.perf_counter()
             dp.solve(tree, want_witness=False)
-            times.append(time.perf_counter() - t0)
-        med = statistics.median(times)
+            t1 = time.perf_counter()
+            dectree.loads(text)
+            solve_times.append(t1 - t0)
+            loads_times.append(time.perf_counter() - t1)
+        med = statistics.median(solve_times)
         rows.append({
             "n": n,
             "gen_s": round(t_gen, 6),
+            "median_loads_s": round(statistics.median(loads_times), 6),
             "median_solve_s": round(med, 6),
             "per_leaf_us": round(med / n * 1e6, 4),
             "repeats": args.repeats,
             "seed": seed,
         })
-    header = f"{'n':>10}  {'gen_s':>10}  {'solve_s':>10}  {'us/leaf':>10}"
+    header = f"{'n':>10}  {'gen_s':>10}  {'loads_s':>10}  {'solve_s':>10}  {'us/leaf':>10}"
     print(header)
     print("-" * len(header))
     for r in rows:
-        print(f"{r['n']:>10}  {r['gen_s']:>10.4f}  "
+        print(f"{r['n']:>10}  {r['gen_s']:>10.4f}  {r['median_loads_s']:>10.4f}  "
               f"{r['median_solve_s']:>10.4f}  {r['per_leaf_us']:>10.2f}")
     for r in rows:
         print(json.dumps(r))
@@ -245,6 +254,8 @@ def cmd_bench(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    from . import oracle
+
     g = _load_graph(args.graph)
     try:
         if args.ts is None:

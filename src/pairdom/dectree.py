@@ -9,8 +9,10 @@ i has right child i-1 and left child i-1-(size of the right subtree), the
 root is the last node, and every node but the root has exactly one parent.
 `validate` checks this layout, so each walk over a tree, or over one
 subtree, is one forward loop over `nodes`, and no tree, however deep,
-touches the call stack. The JSON reader emits nodes in this order by
-construction, so tree files of any nesting depth load.
+touches the call stack. The JSON reader `loads` emits nodes in this order
+by construction and checks only that the leaves carry the vertices 0..n-1,
+so what it returns is valid without a `validate` pass, and tree files of
+any nesting depth load.
 """
 
 from __future__ import annotations
@@ -250,34 +252,6 @@ def generate(
 # internal -> {"op": "T"|"F"|"A", "l": <node>, "r": <node>}
 
 
-def from_json_obj(obj: dict) -> DecompTree:
-    nodes: list[tuple] = []
-    # iterative two-phase walk so deep trees do not recurse
-    stack: list[tuple[dict, bool]] = [(obj, False)]
-    ids: dict[int, int] = {}
-    while stack:
-        cur, expanded = stack.pop()
-        if not isinstance(cur, dict):
-            raise TreeError(f"tree node must be an object, got {cur!r}")
-        if "leaf" in cur:
-            if not isinstance(cur["leaf"], int):
-                raise TreeError(f"leaf id must be an integer, got {cur['leaf']!r}")
-            nodes.append(leaf(cur["leaf"]))
-            ids[id(cur)] = len(nodes) - 1
-        elif expanded:
-            nodes.append(internal(cur.get("op"), ids[id(cur["l"])], ids[id(cur["r"])]))
-            ids[id(cur)] = len(nodes) - 1
-        else:
-            if "op" not in cur or "l" not in cur or "r" not in cur:
-                raise TreeError(f"internal node needs op/l/r keys: {cur!r}")
-            stack.append((cur, True))
-            stack.append((cur["r"], False))
-            stack.append((cur["l"], False))
-    t = DecompTree(tuple(nodes), len(nodes) - 1)
-    require_valid(t)
-    return t
-
-
 def dumps(t: DecompTree) -> str:
     """Nested JSON text of the tree, in time linear in its length.
 
@@ -304,70 +278,84 @@ def dumps(t: DecompTree) -> str:
     return "".join(s for pieces in out for s in reversed(pieces)) + "\n"
 
 
-# One token per match, told apart by the group that matched: braces, a comma,
-# a key with its colon, a string, an integer, or any other character (always
-# an error, so only whitespace goes unread). As in JSON, whitespace is
-# space, tab, LF or CR, integers have no leading zeros, and strings hold no
-# control characters; strings take no escapes.
-_TOKEN = re.compile(r'[ \t\n\r]*(?:(\{)|(\})|(,)|"([^"\\\x00-\x1f]*)"[ \t\n\r]*:'
-                    r'|"([^"\\\x00-\x1f]*)"|(-?(?:0|[1-9][0-9]*))|([^ \t\n\r]))', re.ASCII)
-_OPEN, _CLOSE, _COMMA, _KEY, _STRING, _INTEGER = range(1, 7)
-_TOKEN_NAME = {_OPEN: "'{'", _CLOSE: "'}'", _COMMA: "','", _KEY: "a key",
-               _STRING: "a string", _INTEGER: "an integer"}
-# the value each key takes: a vertex id, a label, or a child node
-_FIELD = {"leaf": _INTEGER, "op": _STRING, "l": _OPEN, "r": _OPEN}
+# One match per piece of the text, told apart by the one group each piece
+# has: an internal node's end, its right child's start, a whole leaf, an
+# opening with or without the label, a label after a child, or any other
+# character (always an error, so only whitespace goes unread). The two most
+# common pieces after leaves come first. "~" stands for JSON whitespace:
+# space, tab, LF or CR. Integers have no leading zeros.
+_PIECE = re.compile(r"""~(?:
+      (\})
+    | (,~"r"~:)
+    | \{~(?: "leaf"~:~(-?(?:0|[1-9][0-9]*))~\}
+         | "op"~:~"([TFA])"~,~"l"~:
+         | ("l")~: )
+    | ,~"op"~:~"([TFA])"
+    | ([^ \t\n\r])
+)""".replace("~", r"[ \t\n\r]*"), re.ASCII | re.VERBOSE)
+_CLOSE, _RIGHT, _LEAF, _OPEN_OP, _OPEN, _OP = range(1, 7)
 
 
-def _expected(want: tuple[int, ...]) -> str:
-    return " or ".join(_TOKEN_NAME[w] for w in want) or "the end of the text"
+def _fail(text: str, m, expected: str) -> TreeError:
+    start = m.end() - len(m.group().lstrip(" \t\n\r"))
+    return TreeError(f"offset {start}: expected {expected}, got {text[start:start + 24]!r}")
 
 
 def loads(text: str) -> DecompTree:
     """Read the nested JSON tree format without recursion.
 
-    Each object becomes a node when it closes, so the nodes come out
-    children first with the root last, and files of any nesting depth load.
-    Keys may come in any order, except that "l" comes before "r", which
-    puts the left subtree's nodes first; other keys are rejected.
+    Each regular-expression match is a whole leaf or one piece of an
+    internal node, and a node joins the array when it closes, so the nodes
+    come out in post-order by construction and files of any nesting depth
+    load. Keys may come in any order, except that "l" comes before "r";
+    other keys are rejected, as are string escapes. The only check left for
+    the end is that the leaves carry the vertices 0..n-1, so the tree
+    returned is valid without a `validate` pass.
     """
     nodes: list[tuple] = []
-    stack: list[tuple[dict, str]] = []  # enclosing objects: (fields, key of this one)
-    fields: dict = {}
-    key = ""
-    want: tuple[int, ...] = (_OPEN,)  # token kinds allowed next
-    for m in _TOKEN.finditer(text):
-        tok = m.lastindex
-        if tok not in want:
-            raise TreeError(f"offset {m.start(tok)}: expected {_expected(want)}, "
-                            f"got {m.group(tok)!r}")
-        if tok == _OPEN:
-            stack.append((fields, key))
-            fields = {}
-            want = (_KEY, _CLOSE)
-        elif tok == _KEY:
-            key = m.group(_KEY)
-            if key not in _FIELD or key in fields or (key == "r" and "l" not in fields):
-                raise TreeError(f"offset {m.start(tok)}: unknown, repeated or "
-                                f"out-of-order key {key!r}")
-            want = (_FIELD[key],)
-        elif tok == _COMMA:
-            want = (_KEY,)
-        elif tok == _CLOSE:
-            if fields.keys() == {"leaf"}:
-                nodes.append(leaf(fields["leaf"]))
-            elif fields.keys() == {"op", "l", "r"}:
-                nodes.append(internal(fields["op"], fields["l"], fields["r"]))
+    vertices: list[int] = []
+    opened: list[list] = []  # internal nodes not closed yet: [label, left child id]
+    want_node = True  # a node starts next; otherwise one has just ended
+    for m in _PIECE.finditer(text):
+        piece = m.lastindex
+        if want_node:
+            if piece == _LEAF:
+                try:
+                    v = int(m.group(_LEAF))
+                except ValueError:  # past int()'s digit limit, which no tree reaches
+                    raise _fail(text, m, "a vertex id int() can read") from None
+                vertices.append(v)
+                nodes.append((LEAF, v))
+                want_node = False
+            elif piece == _OPEN_OP or piece == _OPEN:
+                opened.append([m.group(_OPEN_OP), None])  # None without a label
             else:
-                raise TreeError(f"offset {m.start(tok)}: a node needs the key leaf, "
-                                f"or the keys op, l and r; got {sorted(fields)}")
-            fields, key = stack.pop()
-            fields[key] = len(nodes) - 1
-            want = (_COMMA, _CLOSE) if stack else ()
+                raise _fail(text, m, 'a node {"leaf": <int>} or {"op": "T"|"F"|"A", '
+                                     '"l": ..., "r": ...}')
+            continue
+        if not opened:
+            raise _fail(text, m, "the end of the text")
+        top = opened[-1]
+        if piece == _CLOSE and top[1] is not None and top[0] is not None:
+            nodes.append((top[0], top[1], len(nodes) - 1))
+            opened.pop()
+        elif piece == _RIGHT and top[1] is None:
+            top[1] = len(nodes) - 1  # the left child has just ended
+            want_node = True
+        elif piece == _OP and top[0] is None:
+            top[0] = m.group(_OP)
         else:
-            fields[key] = m.group(tok) if tok == _STRING else int(m.group(tok))
-            want = (_COMMA, _CLOSE)
-    if want:
-        raise TreeError(f"tree JSON ends early: expected {_expected(want)}")
-    t = DecompTree(tuple(nodes), len(nodes) - 1)
-    require_valid(t)
-    return t
+            raise _fail(text, m, ('"r"' if top[0] else '"op" or "r"') if top[1] is None
+                        else ("'}'" if top[0] else '"op"'))
+    if want_node or opened:
+        raise TreeError(f"tree JSON ends early at offset {len(text)}")
+    n = len(vertices)
+    if len(set(vertices)) != n or min(vertices) < 0 or max(vertices) >= n:
+        seen = set()
+        for i, v in enumerate(vertices):
+            if not 0 <= v < n or v in seen:
+                m = [m for m in _PIECE.finditer(text) if m.lastindex == _LEAF][i]
+                raise TreeError(f"offset {m.start(_LEAF)}: leaf vertex {v} is repeated "
+                                f"or outside 0..{n - 1}")
+            seen.add(v)
+    return DecompTree(tuple(nodes), len(nodes) - 1)

@@ -1,3 +1,4 @@
+import json
 from pathlib import Path
 
 import pytest
@@ -34,13 +35,13 @@ def _ex7_tree_obj(root_op):
 @pytest.fixture(scope="session")
 def ex7_tree():
     """Root as a true twin node; the twin set is {0,1,2,3,4}."""
-    return dectree.from_json_obj(_ex7_tree_obj("T"))
+    return dectree.loads(json.dumps(_ex7_tree_obj("T")))
 
 
 @pytest.fixture(scope="session")
 def ex7_tree_attach_root():
     """Same graph with an attachment root; the twin set shrinks to {0,1,2}."""
-    return dectree.from_json_obj(_ex7_tree_obj("A"))
+    return dectree.loads(json.dumps(_ex7_tree_obj("A")))
 
 
 @pytest.fixture(scope="session")

@@ -18,6 +18,22 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def _pairdom_env():
+    src = str(Path(pairdom.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
+def test_import_cli_loads_no_unused_modules():
+    # the tree path of solve must not pay for the oracle, recognition or witness
+    code = ("import sys, pairdom.cli; print(sorted(m for m in ('pairdom.oracle', "
+            "'pairdom.recognition', 'pairdom.witness') if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=_pairdom_env(), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_solve_graph(capsys, data_dir):
     code, out, _ = run(capsys, "solve", "--graph", str(data_dir / "ex7.txt"))
     assert code == 0
@@ -106,9 +122,7 @@ def test_solve_deep_star_tree_subprocess(tmp_path):
         nodes += [dectree.leaf(v), ("A", len(nodes) - 1, len(nodes))]
     path = tmp_path / "star.json"
     path.write_text(dectree.dumps(dectree.DecompTree(tuple(nodes), len(nodes) - 1)))
-    src = str(Path(pairdom.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    env = _pairdom_env()
     for flags in (["--json"], ["--witness", "--json"]):
         proc = subprocess.run(
             [sys.executable, "-m", "pairdom", "solve", "--tree", str(path), *flags],
@@ -195,6 +209,7 @@ def test_bench_single_row(capsys):
     rows = [json.loads(ln) for ln in out.splitlines() if ln.startswith("{")]
     assert len(rows) == 1
     assert rows[0]["n"] == 500 and rows[0]["median_solve_s"] >= 0
+    assert rows[0]["median_loads_s"] >= 0
 
 
 def test_oracle_gamma_p(capsys, data_dir):

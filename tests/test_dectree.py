@@ -134,6 +134,63 @@ def test_json_round_trip(n, seed):
     assert dectree.expand(again) == dectree.expand(t)
 
 
+# the key orders the reader accepts for an internal node: "l" before "r"
+KEY_ORDERS = (("op", "l", "r"), ("l", "op", "r"), ("l", "r", "op"))
+MUTANTS = ("r before l", "repeated op", "extra key", "missing r", "missing op",
+           "duplicate vertex")
+
+
+def _render(t, rng, mutant=None, at=None):
+    """JSON text of `t` with random key orders and random JSON whitespace
+    between tokens; `mutant` breaks the node `at` in the named way."""
+    def tokens(i):
+        nd = t.nodes[i]
+        if nd[0] == "leaf":
+            v = t.nodes[at][1] if mutant == "duplicate vertex" and i == at + 1 else nd[1]
+            return ["{", '"leaf"', ":", str(v), "}"]
+        members = {"op": ['"%s"' % nd[0]], "l": tokens(nd[1]), "r": tokens(nd[2])}
+        order = list(rng.choice(KEY_ORDERS))
+        if i == at:
+            if mutant == "r before l":
+                order.remove("r")
+                order.insert(order.index("l"), "r")
+            elif mutant == "repeated op":
+                order.insert(rng.randrange(4), "op")
+            elif mutant == "extra key":
+                members["x"] = ["1"]
+                order.insert(rng.randrange(4), "x")
+            elif mutant == "missing r":
+                order.remove("r")
+            elif mutant == "missing op":
+                order.remove("op")
+        out = ["{"]
+        for k in order:
+            out += ([","] if len(out) > 1 else []) + ['"%s"' % k, ":"] + members[k]
+        return out + ["}"]
+
+    def ws():
+        return "".join(rng.choice(" \t\n\r") for _ in range(rng.choice((0, 0, 1, 3))))
+
+    return "".join(ws() + tok for tok in tokens(t.root)) + ws()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 40), st.integers(0, 10_000), st.randoms(use_true_random=False))
+def test_loads_accepts_every_key_order_and_rejects_mutants(n, seed, rng):
+    t = dectree.generate(n, seed)
+    again = dectree.loads(_render(t, rng))
+    assert again == t
+    assert dectree.validate(again) == []
+    internal = [i for i, nd in enumerate(t.nodes) if nd[0] != "leaf"]
+    # two leaves in a row: the duplicate mutant gives the second the first's vertex
+    leaf_pairs = [i for i in range(len(t.nodes) - 1)
+                  if t.nodes[i][0] == t.nodes[i + 1][0] == "leaf"]
+    for mutant in MUTANTS:
+        at = rng.choice(leaf_pairs if mutant == "duplicate vertex" else internal)
+        with pytest.raises(TreeError):
+            dectree.loads(_render(t, rng, mutant, at))
+
+
 def test_json_rejects_garbage():
     with pytest.raises(TreeError):
         dectree.loads("not json")
@@ -150,17 +207,20 @@ def test_json_rejects_garbage():
                 '{"leaf": 03}',               # a leading zero
                 '{"leaf":\u00a00}',           # non-JSON whitespace
                 '{"op": "T\x01", "l": {"leaf": 0}, "r": {"leaf": 1}}',  # a control character
-                '{"op": "T", "r": {"leaf": 1}, "l": {"leaf": 0}}'):     # "r" before "l"
+                '{"op": "T", "r": {"leaf": 1}, "l": {"leaf": 0}}',      # "r" before "l"
+                # a repeated "r" whose leaves still number 0..n-1
+                '{"op": "T", "l": {"leaf": 0}, "r": {"leaf": 1}, "r": {"leaf": 2}}',
+                '{"leaf": %s}' % ("9" * 5000)):  # more digits than int() reads
         with pytest.raises(TreeError):
             dectree.loads(bad)
 
 
 def test_deep_tree_no_recursion_limit():
     # a 5000-leaf caterpillar exercises the iterative walks
-    obj = {"leaf": 0}
+    nodes = [dectree.leaf(0)]
     for v in range(1, 5000):
-        obj = {"op": "A", "l": obj, "r": {"leaf": v}}
-    t = dectree.from_json_obj(obj)
+        nodes += [dectree.leaf(v), ("A", len(nodes) - 1, len(nodes))]
+    t = DecompTree(tuple(nodes), len(nodes) - 1)
     assert t.n_leaves == 5000
     assert dectree.loads(dectree.dumps(t)).n_leaves == 5000
     g, ts = dectree.expand(t)
