@@ -9,10 +9,11 @@ i has right child i-1 and left child i-1-(size of the right subtree), the
 root is the last node, and every node but the root has exactly one parent.
 `validate` checks this layout, so each walk over a tree, or over one
 subtree, is one forward loop over `nodes`, and no tree, however deep,
-touches the call stack. The JSON reader `loads` emits nodes in this order
-by construction and checks only that the leaves carry the vertices 0..n-1,
-so what it returns is valid without a `validate` pass, and tree files of
-any nesting depth load.
+touches the call stack. The functions that create nodes in another order,
+`generate` and recognition's replay, lay them out with `renumber`. The
+JSON reader `loads` emits nodes in this order by construction and checks
+only that the leaves carry the vertices 0..n-1, so what it returns is
+valid without a `validate` pass, and tree files of any nesting depth load.
 """
 
 from __future__ import annotations
@@ -39,19 +40,6 @@ class TreeError(ValueError):
 class DecompTree:
     nodes: tuple[tuple, ...]
     root: int
-
-    def is_leaf(self, node: int) -> bool:
-        return self.nodes[node][0] == LEAF
-
-    def label(self, node: int) -> str:
-        return self.nodes[node][0]
-
-    def children(self, node: int) -> tuple[int, int]:
-        _, left, right = self.nodes[node]
-        return left, right
-
-    def leaf_vertex(self, node: int) -> int:
-        return self.nodes[node][1]
 
     @property
     def n_leaves(self) -> int:
@@ -224,11 +212,15 @@ def generate(
             a, b = b, a
         nodes.append(internal(label, a, b))
         roots.append(len(nodes) - 1)
-    # renumber into DFS post-order so children sit near parents in the node
-    # array; same tree, much friendlier to the solver's cache at 10^6 leaves.
-    # Popping node, right, left and reversing gives left, right, node.
+    return renumber(nodes, roots[0])
+
+
+def renumber(nodes: Sequence[tuple], root: int) -> DecompTree:
+    """The tree below `root` of `nodes`, a list in any order, laid out in
+    post-order, which keeps children near parents for the solver's cache."""
+    # popping node, right, left and reversing gives left, right, node
     order: list[int] = []
-    stack = [roots[0]]
+    stack = [root]
     while stack:
         old = stack.pop()
         order.append(old)

@@ -7,7 +7,7 @@ that every operation downstream is deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 
 class GraphError(ValueError):
@@ -19,12 +19,6 @@ class Graph:
     n: int
     m: int
     adjacency: tuple[tuple[int, ...], ...]
-
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adjacency[v]
-
-    def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
 
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.adjacency[u]
@@ -49,22 +43,6 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
         adj[u].append(v)
         adj[v].append(u)
     return Graph(n, len(seen), tuple(tuple(sorted(a)) for a in adj))
-
-
-def induced_subgraph(g: Graph, vertices: Sequence[int]) -> tuple[Graph, dict[int, int]]:
-    """Subgraph induced by `vertices`, relabeled to 0..k-1.
-
-    Returns the subgraph and the old-id -> new-id mapping.
-    """
-    order = sorted(set(vertices))
-    relabel = {v: i for i, v in enumerate(order)}
-    edges = [
-        (relabel[u], relabel[v])
-        for u in order
-        for v in g.adjacency[u]
-        if u < v and v in relabel
-    ]
-    return build_graph(len(order), edges), relabel
 
 
 def is_dominating(g: Graph, d: Iterable[int], targets: Iterable[int]) -> bool:

@@ -1,9 +1,12 @@
 """Recognize distance-hereditary graphs and build a decomposition tree.
 
-A connected graph is distance-hereditary exactly when it prunes down to one
-vertex by repeatedly removing a pendant vertex, a true twin or a false twin
+A graph is distance-hereditary exactly when it prunes down to one vertex
+by repeatedly removing a pendant vertex, a true twin or a false twin
 (Bandelt & Mulder 1986), and any such removal keeps it distance-hereditary.
-`decompose` prunes each component in one worklist pass and replays the
+Vertices without neighbours have equal (empty) open neighbourhoods, so
+they are false twins: a disconnected graph needs no special case, as the
+leftover vertex of each pruned component is a false twin of the others.
+`decompose` prunes the whole graph in one worklist pass and replays the
 removals in reverse as leaf replacements. Any pruning order replays into an
 exact tree, so the first removal found is taken.
 
@@ -17,7 +20,9 @@ neighbour sets decide. Removing a vertex u costs O(deg u): each neighbour's
 hash drops by key(u) and the neighbour goes back on the worklist. A pass
 therefore takes O(n + m) expected time. When the worklist runs dry with
 more than one vertex left, no remaining vertex is a pendant or a twin, and
-the graph is not distance-hereditary.
+the graph is not distance-hereditary. The stuck remnant is the vertices
+that still have neighbours: at most one vertex without any can be left,
+and it is not stuck.
 
 The result is still checked against a hard postcondition: expanding the
 returned tree reproduces the input adjacency exactly.
@@ -36,9 +41,10 @@ from .graph import Graph
 
 
 class ReductionKind(Enum):
-    PENDANT = "pendant"
-    TRUE_TWIN = "true_twin"
-    FALSE_TWIN = "false_twin"
+    """Each kind's value is the label of the tree node its replay creates."""
+    PENDANT = dectree.ATTACH
+    TRUE_TWIN = dectree.TRUE_TWIN
+    FALSE_TWIN = dectree.FALSE_TWIN
 
 
 @dataclass(frozen=True)
@@ -105,39 +111,17 @@ def find_reduction(g: Graph) -> Optional[Reduction]:
 
 
 def _build_tree(last: int, reductions: list[Reduction]) -> DecompTree:
-    """Replay removals in reverse, replacing the anchor's current leaf."""
-    slot: list = ["leaf", last]
-    slots: dict[int, list] = {last: slot}
+    """Replay removals in reverse, each overwriting the anchor's current leaf
+    with a node over new leaves for the anchor and the removed vertex."""
+    nodes: list[tuple] = [dectree.leaf(last)]
+    at = [0] * (len(reductions) + 1)  # vertex -> index of its current leaf
     for r in reversed(reductions):
-        anchor_slot = slots[r.anchor]
-        new_anchor = ["leaf", r.anchor]
-        new_leaf = ["leaf", r.removed]
-        if r.kind == ReductionKind.PENDANT:
-            label = dectree.ATTACH
-        elif r.kind == ReductionKind.TRUE_TWIN:
-            label = dectree.TRUE_TWIN
-        else:
-            label = dectree.FALSE_TWIN
-        anchor_slot[:] = [label, new_anchor, new_leaf]
-        slots[r.anchor] = new_anchor
-        slots[r.removed] = new_leaf
-
-    nodes: list[tuple] = []
-    stack = [(slot, False)]
-    done: dict[int, int] = {}
-    while stack:
-        cur, expanded = stack.pop()
-        if cur[0] == "leaf":
-            nodes.append(dectree.leaf(cur[1]))
-            done[id(cur)] = len(nodes) - 1
-        elif expanded:
-            nodes.append(dectree.internal(cur[0], done[id(cur[1])], done[id(cur[2])]))
-            done[id(cur)] = len(nodes) - 1
-        else:
-            stack.append((cur, True))
-            stack.append((cur[2], False))
-            stack.append((cur[1], False))
-    return DecompTree(tuple(nodes), len(nodes) - 1)
+        i = len(nodes)
+        nodes[at[r.anchor]] = (r.kind.value, i, i + 1)
+        nodes.append(dectree.leaf(r.anchor))
+        nodes.append(dectree.leaf(r.removed))
+        at[r.anchor], at[r.removed] = i, i + 1
+    return dectree.renumber(nodes, 0)
 
 
 def _unfile(buckets: dict[int, list], hv: int, v: int) -> None:
@@ -149,8 +133,8 @@ def _unfile(buckets: dict[int, list], hv: int, v: int) -> None:
 
 
 def _decompose_adj(adj: dict[int, set], key: Sequence[int]) -> DecompTree:
-    """Prune one connected component, given as adjacency sets over original
-    vertex ids (which the pruning consumes), in one worklist pass.
+    """Prune the graph given as adjacency sets over the vertex ids 0..n-1
+    (which the pruning consumes) in one worklist pass.
 
     Every remaining vertex is either on the worklist or filed in the buckets
     under its current hashes, and no two filed vertices are twins. Removing
@@ -166,7 +150,7 @@ def _decompose_adj(adj: dict[int, set], key: Sequence[int]) -> DecompTree:
     seq: list[Reduction] = []
     while len(adj) > 1:
         if not work:
-            raise NotDistanceHereditary(adj.keys())
+            raise NotDistanceHereditary(v for v, nv in adj.items() if nv)
         u = work.pop()
         queued.remove(u)
         nu, hu, ku = adj[u], h[u], key[u]
@@ -202,49 +186,18 @@ def _decompose_adj(adj: dict[int, set], key: Sequence[int]) -> DecompTree:
     return _build_tree(last, seq)
 
 
-def _components(g: Graph) -> list[list[int]]:
-    seen = [False] * g.n
-    comps = []
-    for s in range(g.n):
-        if seen[s]:
-            continue
-        comp, stack = [], [s]
-        seen[s] = True
-        while stack:
-            u = stack.pop()
-            comp.append(u)
-            for w in g.adjacency[u]:
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append(w)
-        comps.append(sorted(comp))
-    return comps
-
-
 def decompose(g: Graph) -> DecompTree:
     """Tree whose expansion is edge-identical to g, or NotDistanceHereditary.
 
-    Disconnected inputs get one subtree per component, joined left-to-right
-    with false-twin nodes (no edges added).
+    The components of a disconnected input end as false twins of each
+    other, so their subtrees are joined by false-twin nodes (no edges
+    added) in the order the components finish pruning.
     """
     if g.n == 0:
         raise ValueError("cannot decompose the empty graph")
     rng = random.Random(_KEY_SEED)
     key = [rng.getrandbits(64) for _ in range(g.n)]
-    # splice the component trees into one node array, each followed by the
-    # ⊙ join with everything before it, so every subtree stays one block
-    nodes: list[tuple] = []
-    for comp in _components(g):
-        adj = {v: set(g.adjacency[v]) for v in comp}
-        off = len(nodes)  # the root of everything before ends at off - 1
-        for nd in _decompose_adj(adj, key).nodes:
-            if nd[0] == dectree.LEAF:
-                nodes.append(nd)
-            else:
-                nodes.append((nd[0], nd[1] + off, nd[2] + off))
-        if off:
-            nodes.append(dectree.internal(dectree.FALSE_TWIN, off - 1, len(nodes) - 1))
-    result = DecompTree(tuple(nodes), len(nodes) - 1)
+    result = _decompose_adj({v: set(nv) for v, nv in enumerate(g.adjacency)}, key)
 
     expanded, _ = dectree.expand(result)
     # both adjacencies come from build_graph: sorted tuples, one per vertex

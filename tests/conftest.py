@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from pairdom import dectree
-from pairdom.graph import build_graph, induced_subgraph
+from pairdom.graph import build_graph
 
 DATA = Path(__file__).parent / "data"
 
@@ -49,6 +49,39 @@ def data_dir():
     return DATA
 
 
+def is_leaf(t, node):
+    return t.nodes[node][0] == dectree.LEAF
+
+
+def label(t, node):
+    return t.nodes[node][0]
+
+
+def children(t, node):
+    _, left, right = t.nodes[node]
+    return left, right
+
+
+def leaf_vertex(t, node):
+    return t.nodes[node][1]
+
+
+def induced_subgraph(g, vertices):
+    """Subgraph induced by `vertices`, relabeled to 0..k-1.
+
+    Returns the subgraph and the old-id -> new-id mapping.
+    """
+    order = sorted(set(vertices))
+    relabel = {v: i for i, v in enumerate(order)}
+    edges = [
+        (relabel[u], relabel[v])
+        for u in order
+        for v in g.adjacency[u]
+        if u < v and v in relabel
+    ]
+    return build_graph(len(order), edges), relabel
+
+
 def cycle_graph(n):
     return build_graph(n, [(i, (i + 1) % n) for i in range(n)])
 
@@ -58,14 +91,14 @@ def node_subproblems(t, g):
     vhat, twin = {}, {}
     out = []
     for node in range(len(t.nodes)):
-        if t.is_leaf(node):
-            v = t.leaf_vertex(node)
+        if is_leaf(t, node):
+            v = leaf_vertex(t, node)
             vhat[node] = {v}
             twin[node] = {v}
         else:
-            left, right = t.children(node)
+            left, right = children(t, node)
             vhat[node] = vhat[left] | vhat[right]
-            if t.label(node) == dectree.ATTACH:
+            if label(t, node) == dectree.ATTACH:
                 twin[node] = twin[left]
             else:
                 twin[node] = twin[left] | twin[right]

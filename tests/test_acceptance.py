@@ -12,7 +12,7 @@ import time
 
 import pytest
 
-from conftest import cycle_graph, node_subproblems
+from conftest import children, cycle_graph, is_leaf, label, node_subproblems
 from pairdom import dectree, dp, oracle, recognition
 from pairdom.cli import main as cli_main
 from pairdom.graph import build_graph, is_paired_dominating
@@ -200,13 +200,13 @@ def test_criterion_9_recursion_consistency(report, corpus_small):
     nodes = 0
     for _, t, _, res in corpus_small:
         for node in range(len(t.nodes)):
-            if t.is_leaf(node):
+            if is_leaf(t, node):
                 continue
             nodes += 1
             s = res.states[node]
-            left, right = t.children(node)
+            left, right = children(t, node)
             sl, sr = res.states[left], res.states[right]
-            if t.label(node) == dectree.FALSE_TWIN:
+            if label(t, node) == dectree.FALSE_TWIN:
                 if s.gamma_p != dp.sat_add(sl.gamma_p, sr.gamma_p):
                     violations += 1
             else:

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import children, is_leaf
 from pairdom import dectree
 from pairdom.dectree import DecompTree, TreeError
 
@@ -26,7 +27,7 @@ def test_expand_attach_of_two_leaves():
 
 def test_twin_sets_ex7(ex7_tree):
     t = ex7_tree
-    left, right = t.children(t.root)
+    left, right = children(t, t.root)
     assert dectree.twin_set(t, left) == (0, 1, 2)
     assert dectree.twin_set(t, right) == (3, 4)
     for i, nd in enumerate(t.nodes):
@@ -82,7 +83,7 @@ def test_validate_bad_label():
 
 def test_generate_single_leaf():
     t = dectree.generate(1, seed=5)
-    assert len(t.nodes) == 1 and t.is_leaf(t.root)
+    assert len(t.nodes) == 1 and is_leaf(t, t.root)
 
 
 def test_generate_deterministic():

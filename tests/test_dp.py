@@ -3,6 +3,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import children, is_leaf, label
 from pairdom import dectree, dp
 from pairdom.dp import (
     INF,
@@ -176,10 +177,10 @@ def test_invariants_on_random_trees(n, seed):
         assert s.gamma_p == INF or s.gamma_p % 2 == 0
         for k in range(s.ts_size):
             assert abs(eval_gamma_k(s, k) - eval_gamma_k(s, k + 1)) == 1
-        if not t.is_leaf(node):
-            left, right = t.children(node)
+        if not is_leaf(t, node):
+            left, right = children(t, node)
             sl, sr = res.states[left], res.states[right]
-            if t.label(node) == dectree.FALSE_TWIN:
+            if label(t, node) == dectree.FALSE_TWIN:
                 assert s.gamma_p == dp.sat_add(sl.gamma_p, sr.gamma_p)
             else:
                 assert s.gamma_p == eval_gamma_k(s, 0) + 2 * s.mty_pr

@@ -3,13 +3,13 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import induced_subgraph
 from pairdom.graph import (
     Graph,
     GraphError,
     build_graph,
     format_graph_text,
     has_perfect_matching_induced,
-    induced_subgraph,
     is_dominating,
     is_paired_dominating,
     parse_graph_text,

@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import cycle_graph
+from conftest import cycle_graph, induced_subgraph
 from pairdom import oracle
 from pairdom.graph import build_graph
 from pairdom.oracle import (
@@ -52,8 +52,6 @@ def test_dk_guard_and_args(ex7_graph):
 
 def test_node_state_ex7_attach_node(ex7_graph):
     # the subgraph on {3,4,5,6} with twin set {3,4}
-    from pairdom.graph import induced_subgraph
-
     sub, relabel = induced_subgraph(ex7_graph, [3, 4, 5, 6])
     rep = oracle_node_state(sub, [relabel[3], relabel[4]])
     assert (rep.min, rep.alpha, rep.beta) == (1, 1, 1)

@@ -3,9 +3,9 @@ import random
 
 import pytest
 
-from conftest import cycle_graph
+from conftest import cycle_graph, induced_subgraph
 from pairdom import dectree, dp
-from pairdom.graph import build_graph, induced_subgraph
+from pairdom.graph import build_graph
 from pairdom.recognition import (
     NotDistanceHereditary,
     Reduction,
@@ -73,14 +73,40 @@ def test_decompose_disconnected_saturates():
 
 
 def test_decompose_many_components_round_trips_through_json():
-    # three isolated vertices, then K2 + P3 + isolated vertex + K2
+    # three isolated vertices; K2 + P3 + isolated vertex + K2; and 30
+    # connected DH graphs of 2-40 vertices, with all their ids shuffled
+    rng = random.Random(7)
+    mixes = [(1, 1, 4), (1, 3, 1), (3, 1, 1), (0, 1, 1), (1, 0, 1)]
+    parts = [_relabeled(dectree.expand(dectree.generate(rng.randint(2, 40), s,
+                                                        mixes[s % 5]))[0], s)
+             for s in range(30)]
+    edges, n = [], 0
+    for part in parts:
+        edges += [(u + n, v + n) for u, v in part.edges()]
+        n += part.n
+    many = _relabeled(build_graph(n, edges), 7)
     for g in (build_graph(3, []),
-              build_graph(8, [(0, 1), (2, 3), (3, 4), (6, 7)])):
+              build_graph(8, [(0, 1), (2, 3), (3, 4), (6, 7)]),
+              many):
         t = decompose(g)
         assert dectree.validate(t) == []
         again = dectree.loads(dectree.dumps(t))
         assert again == t
         assert _expands_equal(again, g)
+    assert (dp.solve(decompose(many)).gamma_p
+            == sum(dp.solve(decompose(p)).gamma_p for p in parts))
+
+
+def test_decompose_remnant_leaves_out_other_components():
+    # a C5, a K2 and two isolated vertices: the K2 and the isolated
+    # vertices prune away, so the remnant is exactly the C5's ids
+    edges = [(i, (i + 1) % 5) for i in range(5)] + [(5, 6)]
+    for seed in range(20):
+        perm = list(range(9))
+        random.Random(seed).shuffle(perm)
+        with pytest.raises(NotDistanceHereditary) as exc:
+            decompose(build_graph(9, [(perm[u], perm[v]) for u, v in edges]))
+        assert exc.value.remnant == tuple(sorted(perm[:5])), seed
 
 
 def test_decompose_path_and_star():
