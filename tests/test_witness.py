@@ -1,12 +1,16 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pairdom import dectree, dp
-from pairdom.dectree import DecompTree, leaf
+from pairdom.dectree import ATTACH, FALSE_TWIN, LEAF, DecompTree, leaf
 from pairdom.graph import is_paired_dominating
 from pairdom.oracle import oracle_gamma_p
-from pairdom.witness import WitnessError, _certificate, _check, reconstruct_witness
+from pairdom.witness import (DOM, HIT, WitnessError, _certificate, _check, _split,
+                             reconstruct_witness)
+
+LABEL_MIXES = [(1, 1, 4), (1, 3, 1), (3, 1, 1), (0, 1, 1), (1, 0, 1)]
 
 
 def test_ex7_witness(ex7_tree, ex7_graph):
@@ -86,7 +90,7 @@ def test_witness_at_100k_leaves():
     assert len(res.witness) == res.gamma_p
 
 
-@pytest.mark.parametrize("weights", [(1, 1, 4), (1, 3, 1), (3, 1, 1), (0, 1, 1), (1, 0, 1)])
+@pytest.mark.parametrize("weights", LABEL_MIXES)
 def test_witness_matches_oracle_over_label_mixes(weights):
     # A-heavy, F-heavy, T-heavy, T-free and F-free trees reach different
     # need rules of the downward loop; the last join keeps them connected
@@ -98,3 +102,72 @@ def test_witness_matches_oracle_over_label_mixes(weights):
         assert res.gamma_p == oracle_gamma_p(g), seed
         assert len(res.witness) == res.gamma_p, seed
         assert is_paired_dominating(g, res.witness), seed
+
+
+def _allowed(s, need):
+    """A 0-set of a node with state s can hit its twin set unless mty_ts,
+    dominate it unless mty_pr, and do both unless either."""
+    return not (need & HIT and s.mty_ts or need & DOM and s.mty_pr)
+
+
+def _joined_needs(label, nl, nr):
+    """(ok, hit, dom) of the parent's 0-set formed from children's 0-sets
+    meeting needs nl and nr, which pair nothing across the join."""
+    hl, dl, hr, dr = nl & HIT, nl & DOM, nr & HIT, nr & DOM
+    if label == FALSE_TWIN:  # no edges between the two sides
+        return True, hl or hr, dl and dr
+    if label == ATTACH:  # the left twin set stays; the right one is dominated now
+        return hl or dr, hl, hr or dl
+    # true twins: a D vertex in one twin set sees all of the other
+    return True, hl or hr, (hl or dr) and (hr or dl)
+
+
+def _check_every_split(t):
+    """Ask every internal node of t for every k-set and every need its flags
+    allow, and check the split against the curves; return the request count."""
+    states = dp.solve(t).states
+    requests = 0
+    for i, nd in enumerate(t.nodes):
+        if nd[0] == LEAF:
+            continue
+        label, left, right = nd
+        s, sl, sr = states[i], states[left], states[right]
+        for k in range(s.ts_size + 1):
+            target = dp.eval_gamma_k(s, k)
+            for need in (range(4) if k == 0 else (0,)):
+                if not _allowed(s, need):
+                    continue
+                requests += 1
+                where = (i, label, k, need)
+                kl, kr, nl, nr = _split(i, label, k, need, sl, sr, target)
+                assert 0 <= kl <= sl.ts_size and 0 <= kr <= sr.ts_size, where
+                if label == FALSE_TWIN:
+                    assert k == kl + kr, where
+                elif label == ATTACH:
+                    assert k == kl - kr, where
+                else:
+                    assert abs(kl - kr) <= k <= kl + kr, where
+                    assert (kl + kr - k) % 2 == 0, where
+                assert dp.eval_gamma_k(sl, kl) + dp.eval_gamma_k(sr, kr) == target, where
+                if (kl, kr) != (0, 0):
+                    assert nl == nr == 0, where
+                    continue
+                assert _allowed(sl, nl) and _allowed(sr, nr), where
+                ok, hit, dom = _joined_needs(label, nl, nr)
+                assert ok and (hit or not need & HIT) and (dom or not need & DOM), where
+    return requests
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 30), st.integers(0, 10_000), st.sampled_from(LABEL_MIXES))
+def test_split_covers_every_request(n, seed, weights):
+    _check_every_split(dectree.generate(n, seed, weights))
+
+
+@pytest.mark.parametrize("weights", LABEL_MIXES)
+def test_split_covers_every_request_over_label_mixes(weights):
+    requests = 0
+    for seed in range(200):
+        n = random.Random(seed).randint(2, 30)
+        requests += _check_every_split(dectree.generate(n, seed, weights))
+    assert requests > 10_000
