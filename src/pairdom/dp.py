@@ -82,7 +82,10 @@ def _mty_join(sl: NodeState, sr: NodeState) -> bool:
     return (p_l or p_r) and (t_l or t_r) and (p_l or t_l) and (p_r or t_r)
 
 
-def _cond_d2(sl: NodeState, sr: NodeState) -> bool:
+def cond_d2(sl: NodeState, sr: NodeState) -> bool:
+    """True when a T or A join's optimal 0-sets pair nothing across it:
+    one child's curve is lowest at k = 0 (alpha 0), the other's only there
+    (beta 0)."""
     return (sr.alpha == 0 and sl.beta == 0) or (sl.alpha == 0 and sr.beta == 0)
 
 
@@ -98,7 +101,7 @@ def combine_true_twin(sl: NodeState, sr: NodeState) -> NodeState:
         mty_ts=False,
         mty_pr=False,
     )
-    if _cond_d2(sl, sr):
+    if cond_d2(sl, sr):
         s.mty_pr = _mty_join(sl, sr)
         s.mty_ts = sl.mty_ts and sr.mty_ts
     s.gamma_p = eval_gamma_k(s, 0) + 2 * s.mty_pr
@@ -127,7 +130,7 @@ def combine_attach(sl: NodeState, sr: NodeState) -> NodeState:
         # left side can absorb; pay to pair the excess, curve collapses
         s.min = sl.min + sr.min + sr.alpha - sl.beta
         s.alpha = s.beta = 0
-    elif _cond_d2(sl, sr):
+    elif cond_d2(sl, sr):
         if sr.alpha == 0 and sl.beta == 0:
             e = int(sl.mty_ts and sr.mty_pr)
             s.min = sl.min + sr.min + e

@@ -5,8 +5,8 @@ k-set of a node has size gamma_k, dominates the subtree outside TS, leaves
 k vertices of D n TS *exempt* (for a parent to pair) and matches the rest.
 The downward loop (parents first) asks each node for a k-set, perhaps
 needing it to hit or dominate TS, or for a paired-dominating set, and
-splits that by the stored curves and mty flags into requests to its
-children. The upward loop (children first) forms the pairs across T and A
+splits that into requests to its children in closed form, by the combine
+case of `dp` that formed the node's state. The upward loop (children first) forms the pairs across T and A
 bicliques; each node hands its exempt vertices and its twin-set vertices
 not in D up as two lists, the shorter appended to the longer. `_check`
 then verifies the pairs against the tree alone in O(n).
@@ -15,11 +15,10 @@ then verifies the pairs against the tree alone in O(n).
 from __future__ import annotations
 
 import functools
-from itertools import chain
 from typing import Sequence
 
 from .dectree import ATTACH, FALSE_TWIN, LEAF, TRUE_TWIN, DecompTree
-from .dp import INF, NodeState, eval_gamma_k
+from .dp import INF, NodeState, cond_d2, eval_gamma_k
 
 PDS = -1  # request for a minimum paired-dominating set of the subtree
 HIT, DOM = 1, 2  # needs of a k = 0 request: D hits TS, D dominates TS
@@ -28,12 +27,6 @@ PAIR = 4  # node flag: add one pair across the biclique
 
 class WitnessError(RuntimeError):
     """No valid witness could be assembled (or gamma_p is infinite)."""
-
-
-def _candidates(s: NodeState) -> tuple[int, ...]:
-    """Where k -> gamma_k, convex on each parity class of k, bends or ends."""
-    a, b, ts = s.alpha, s.beta, s.ts_size
-    return 0, 1, a - 1, a, a + 1, b - 1, b, b + 1, ts - 1, ts
 
 
 @functools.cache
@@ -63,39 +56,44 @@ def _split(i: int, label: str, k: int, need: int, sl: NodeState,
     """(kl, kr, need_l, need_r) for a k-set request with `need` at node i.
 
     k = kl + kr at F nodes, kl - kr at A nodes (all kr are paired) and
-    kl + kr - 2h at T nodes (h pairs, 0 <= h <= min(kl, kr)). So at a T node
-    kr runs over |kl - k| .. kl + k in steps of two, and the best one is
-    alpha_r, or next to it, clamped to that range. The children's sum is
-    convex on each parity class of kl, with bends at a bend of the left
-    curve or a bend of the right one shifted by k: the kl tried below.
+    kl + kr - 2h at T nodes (h pairs, 0 <= h <= min(kl, kr)). A child's
+    curve falls to alpha, stays flat (by parity) up to beta and rises after
+    it, so each combine case of `dp` has an optimal split in closed form:
+    the children's alphas where the label's relation allows them, else the
+    allowed split nearest to them.
     """
-    cr = _candidates(sr)
-    for kl in chain(_candidates(sl), (c + k for c in cr), (c - k for c in cr),
-                    (k - c for c in cr)):
-        if not 0 <= kl <= sl.ts_size:
-            continue
-        if label == FALSE_TWIN:
-            kr = k - kl
-        elif label == ATTACH:
-            kr = kl - k
-        else:
-            lo, hi = abs(kl - k), min(kl + k, sr.ts_size)
-            hi -= (hi - lo) % 2
-            if lo > hi:
-                continue
-            a = sr.alpha  # the lowest point of lo's parity is alpha or next to it
-            kr = min(max(a if (lo - a) % 2 == 0 else abs(a - 1), lo), hi)
-        if not 0 <= kr <= sr.ts_size:
-            continue
-        if eval_gamma_k(sl, kl) + eval_gamma_k(sr, kr) != target:
-            continue
-        if kl or kr:  # needs come with k = 0, so kl = kr > 0 hit both TS
-            return kl, kr, 0, 0
-        needs = _child_needs(label, need, sl.mty_ts, sl.mty_pr, sr.mty_ts, sr.mty_pr)
-        if needs is not None:
-            return 0, 0, *needs
-    raise WitnessError(f"node {i}: no split of k={k} (needs {need}) "
-                       f"reaches gamma_k={target}")
+    al, bl, ar, br = sl.alpha, sl.beta, sr.alpha, sr.beta
+    if label == ATTACH:
+        if ar == bl == 0:  # combine_attach's e: the right 0-set pairs one more
+            kr = int(k == 0 and sl.mty_ts and sr.mty_pr)
+        else:  # also the collapse case (ar > bl) and cond_d2's other sub-case
+            kr = max(0, min(max(ar, al - k), br, bl - k))
+        kl = k + kr
+    elif label == TRUE_TWIN and al - ar > k:  # as at an A node, left first
+        kr = min(al - k, br)
+        kl = kr + k
+    elif label == TRUE_TWIN and ar - al > k:  # as at an A node, right first
+        kl = min(ar - k, bl)
+        kr = kl + k
+    elif label == TRUE_TWIN and al + ar >= k:  # both alphas, fixed for parity
+        odd = (al + ar - k) % 2
+        kl, kr = (al - odd, ar) if al else (al, ar - odd)
+    else:  # F, or T with al + ar < k: no pairs across
+        kl = max(min(max(k - ar, al), bl, k), k - sr.ts_size)
+        kr = k - kl
+    if (kl, kr) == (0, 0) and label != FALSE_TWIN and not cond_d2(sl, sr):
+        # (1, 1) or (2, 2) costs the same and hits both twin sets, which
+        # meets any need; under cond_d2, (0, 0) is the only optimal split
+        kl = kr = 1 if al != ar else 2
+    if eval_gamma_k(sl, kl) + eval_gamma_k(sr, kr) != target:
+        raise WitnessError(f"node {i}: split ({kl}, {kr}) of k={k} misses "
+                           f"gamma_k={target}")
+    if kl or kr:  # needs come with k = 0, so kl = kr > 0 hit both TS
+        return kl, kr, 0, 0
+    needs = _child_needs(label, need, sl.mty_ts, sl.mty_pr, sr.mty_ts, sr.mty_pr)
+    if needs is None:
+        raise WitnessError(f"node {i}: no split of k=0 meets needs {need}")
+    return 0, 0, *needs
 
 
 def _merge(a: list, b: list) -> list:
