@@ -190,7 +190,7 @@ def test_gen_seed_from_env(tmp_path, capsys, monkeypatch):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_check_pass_and_failures(capsys, data_dir):
+def test_check_pass_and_failures(capsys, data_dir, tmp_path):
     ex7 = str(data_dir / "ex7.txt")
     code, out, _ = run(capsys, "check", "--graph", ex7, "--set", "2,3")
     assert code == 0 and "ok" in out
@@ -200,6 +200,11 @@ def test_check_pass_and_failures(capsys, data_dir):
     assert code == 1
     code, _, _ = run(capsys, "check", "--graph", ex7, "--set", "1,99")
     assert code == 2
+    path = tmp_path / "path.txt"
+    path.write_text("3000 2999\n" + "".join(f"{v} {v + 1}\n" for v in range(2999)))
+    code, out, _ = run(capsys, "check", "--graph", str(path),
+                       "--set", ",".join(map(str, range(3000))))
+    assert code == 0 and "ok" in out
 
 
 def test_bench_single_row(capsys):

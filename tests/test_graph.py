@@ -79,6 +79,8 @@ def test_matching_cases(ex7_graph):
     assert has_perfect_matching_induced(ex7_graph, {2, 3})
     assert not has_perfect_matching_induced(ex7_graph, {0})
     assert not has_perfect_matching_induced(ex7_graph, {1, 2})  # non-adjacent
+    path = build_graph(3000, [(v, v + 1) for v in range(2999)])
+    assert has_perfect_matching_induced(path, range(3000))  # deeper than the C stack
 
 
 def _matching_by_enumeration(g, s):
