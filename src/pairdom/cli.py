@@ -51,6 +51,14 @@ def _read(path: str) -> str:
         raise CliError(f"cannot read {path}: {exc}")
 
 
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc}")
+
+
 def _load_graph(path: str):
     try:
         return parse_graph_text(_read(path))
@@ -162,31 +170,26 @@ def cmd_solve(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    if args.n < 1:
-        raise CliError(f"--n must be >= 1, got {args.n}")
-    weights = [float(w) for w in _parse_weights(args.weights)]
     seed = args.seed if args.seed is not None else _default_seed()
-    tree = dectree.generate(args.n, seed, weights)
+    try:
+        tree = dectree.generate(args.n, seed, _parse_weights(args.weights))
+    except dectree.TreeError as exc:
+        raise CliError(str(exc))
     if args.out_tree is None and args.out_graph is None:
         raise CliError("nothing to do: give --out-tree and/or --out-graph")
     if args.out_tree:
-        with open(args.out_tree, "w", encoding="utf-8") as fh:
-            fh.write(dectree.dumps(tree))
+        _write(args.out_tree, dectree.dumps(tree))
     if args.out_graph:
         g, _ = dectree.expand(tree)
-        with open(args.out_graph, "w", encoding="utf-8") as fh:
-            fh.write(format_graph_text(g))
+        _write(args.out_graph, format_graph_text(g))
     return EXIT_OK
 
 
 def _parse_weights(raw: str) -> list[float]:
     try:
-        parts = [float(tok) for tok in raw.split(",")]
+        return [float(tok) for tok in raw.split(",")]
     except ValueError:
         raise CliError(f"bad --weights {raw!r}")
-    if len(parts) != 3 or any(p < 0 for p in parts) or sum(parts) == 0:
-        raise CliError("--weights needs three non-negative numbers, not all zero")
-    return parts
 
 
 def cmd_check(args) -> int:
@@ -217,6 +220,8 @@ def cmd_bench(args) -> int:
     sizes = [int(s) for s in _parse_ids(args.sizes)]
     if not sizes or any(s < 1 for s in sizes):
         raise CliError("--sizes needs positive integers")
+    if args.repeats < 1:
+        raise CliError(f"--repeats must be >= 1, got {args.repeats}")
     seed = args.seed if args.seed is not None else _default_seed()
     rows = []
     for n in sizes:

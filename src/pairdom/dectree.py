@@ -18,6 +18,7 @@ valid without a `validate` pass, and tree files of any nesting depth load.
 
 from __future__ import annotations
 
+import math
 import random
 import re
 from dataclasses import dataclass
@@ -187,8 +188,10 @@ def generate(
     """
     if n < 1:
         raise TreeError(f"need at least one leaf, got n={n}")
-    if len(weights) != 3 or any(w < 0 for w in weights) or sum(weights) == 0:
-        raise TreeError(f"bad label weights {weights!r}")
+    if (len(weights) != 3 or any(not 0 <= w < math.inf for w in weights)
+            or not 0 < sum(weights) < math.inf):
+        raise TreeError(f"bad label weights {weights!r}: need three finite "
+                        "non-negative numbers, not all zero")
     rng = random.Random(seed)
     nodes: list[tuple] = [leaf(v) for v in range(n)]
     roots = list(range(n))

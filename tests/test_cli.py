@@ -207,6 +207,18 @@ def test_check_pass_and_failures(capsys, data_dir, tmp_path):
     assert code == 0 and "ok" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ["gen", "--n", "5", "--weights", "nan,1,1"],
+    ["gen", "--n", "5", "--weights", "1,inf,1"],
+    ["gen", "--n", "5", "--out-tree", "/nonexistent/x.json"],
+    ["bench", "--sizes", "10", "--repeats", "0"],
+])
+def test_usage_errors_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_bench_single_row(capsys):
     code, out, _ = run(capsys, "bench", "--sizes", "500", "--seed", "3",
                        "--repeats", "2")

@@ -98,6 +98,9 @@ def test_generate_rejects_bad_args():
         dectree.generate(0, seed=1)
     with pytest.raises(TreeError):
         dectree.generate(3, seed=1, weights=(0, 0, 0))
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(TreeError):
+            dectree.generate(3, seed=1, weights=(bad, 1, 1))
 
 
 def _connected(g):
