@@ -223,36 +223,46 @@ def cmd_bench(args) -> int:
     if args.repeats < 1:
         raise CliError(f"--repeats must be >= 1, got {args.repeats}")
     seed = args.seed if args.seed is not None else _default_seed()
+    from .witness import reconstruct_witness
+
     rows = []
     for n in sizes:
         t0 = time.perf_counter()
         tree = dectree.generate(n, seed)
         t_gen = time.perf_counter() - t0
         text = dectree.dumps(tree)
-        solve_times, loads_times = [], []
+        solve_times, loads_times, witness_times = [], [], []
         for _ in range(args.repeats):
             t0 = time.perf_counter()
-            dp.solve(tree, want_witness=False)
+            states = dp.solve(tree, want_witness=False).states
             t1 = time.perf_counter()
             dectree.loads(text)
+            t2 = time.perf_counter()
+            if states[tree.root].gamma_p != dp.INF:  # else there is no witness
+                reconstruct_witness(tree, states)
+                witness_times.append(time.perf_counter() - t2)
             solve_times.append(t1 - t0)
-            loads_times.append(time.perf_counter() - t1)
+            loads_times.append(t2 - t1)
         med = statistics.median(solve_times)
         rows.append({
             "n": n,
             "gen_s": round(t_gen, 6),
             "median_loads_s": round(statistics.median(loads_times), 6),
             "median_solve_s": round(med, 6),
+            "median_witness_s": (round(statistics.median(witness_times), 6)
+                                 if witness_times else None),
             "per_leaf_us": round(med / n * 1e6, 4),
             "repeats": args.repeats,
             "seed": seed,
         })
-    header = f"{'n':>10}  {'gen_s':>10}  {'loads_s':>10}  {'solve_s':>10}  {'us/leaf':>10}"
+    header = (f"{'n':>10}  {'gen_s':>10}  {'loads_s':>10}  {'solve_s':>10}  "
+              f"{'witness_s':>10}  {'us/leaf':>10}")
     print(header)
     print("-" * len(header))
     for r in rows:
+        witness_s = "none" if r["median_witness_s"] is None else f"{r['median_witness_s']:.4f}"
         print(f"{r['n']:>10}  {r['gen_s']:>10.4f}  {r['median_loads_s']:>10.4f}  "
-              f"{r['median_solve_s']:>10.4f}  {r['per_leaf_us']:>10.2f}")
+              f"{r['median_solve_s']:>10.4f}  {witness_s:>10}  {r['per_leaf_us']:>10.2f}")
     for r in rows:
         print(json.dumps(r))
     return EXIT_OK
@@ -311,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--set", required=True, help="comma-separated vertex ids")
     p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("bench", help="count-mode scaling benchmark")
+    p = sub.add_parser("bench", help="in-process loads, solve and witness times")
     p.add_argument("--sizes", required=True, help="comma-separated leaf counts")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--repeats", type=int, default=3)

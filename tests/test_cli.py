@@ -227,6 +227,7 @@ def test_bench_single_row(capsys):
     assert len(rows) == 1
     assert rows[0]["n"] == 500 and rows[0]["median_solve_s"] >= 0
     assert rows[0]["median_loads_s"] >= 0
+    assert rows[0]["median_witness_s"] >= 0
 
 
 def test_oracle_gamma_p(capsys, data_dir):
