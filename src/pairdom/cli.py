@@ -170,13 +170,13 @@ def cmd_solve(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    if args.out_tree is None and args.out_graph is None:
+        raise CliError("nothing to do: give --out-tree and/or --out-graph")
     seed = args.seed if args.seed is not None else _default_seed()
     try:
         tree = dectree.generate(args.n, seed, _parse_weights(args.weights))
     except dectree.TreeError as exc:
         raise CliError(str(exc))
-    if args.out_tree is None and args.out_graph is None:
-        raise CliError("nothing to do: give --out-tree and/or --out-graph")
     if args.out_tree:
         _write(args.out_tree, dectree.dumps(tree))
     if args.out_graph:
