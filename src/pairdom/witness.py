@@ -6,10 +6,11 @@ k vertices of D n TS *exempt* (for a parent to pair) and matches the rest.
 The downward loop (parents first) asks each node for a k-set, perhaps
 needing it to hit or dominate TS, or for a paired-dominating set, and
 splits that into requests to its children in closed form, by the combine
-case of `dp` that formed the node's state. The upward loop (children first) forms the pairs across T and A
-bicliques; each node hands its exempt vertices and its twin-set vertices
-not in D up as two lists, the shorter appended to the longer. `_check`
-then verifies the pairs against the tree alone in O(n).
+case of `dp` that formed the node's state. The upward loop (children
+first) forms the pairs across T and A bicliques; each node hands its
+exempt vertices and its twin-set vertices not in D up as two lists, the
+shorter appended to the longer. `_check` then verifies the pairs against
+the tree alone in O(n).
 """
 
 from __future__ import annotations
