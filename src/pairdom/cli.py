@@ -217,14 +217,14 @@ def cmd_check(args) -> int:
 def cmd_bench(args) -> int:
     import statistics
 
+    from .witness import reconstruct_witness
+
     sizes = [int(s) for s in _parse_ids(args.sizes)]
     if not sizes or any(s < 1 for s in sizes):
         raise CliError("--sizes needs positive integers")
     if args.repeats < 1:
         raise CliError(f"--repeats must be >= 1, got {args.repeats}")
     seed = args.seed if args.seed is not None else _default_seed()
-    from .witness import reconstruct_witness
-
     rows = []
     for n in sizes:
         t0 = time.perf_counter()
