@@ -21,10 +21,10 @@ from __future__ import annotations
 import math
 import random
 import re
-from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
 from .graph import Graph, build_graph
+from .record import Record
 
 LEAF = "leaf"
 TRUE_TWIN = "T"
@@ -37,10 +37,12 @@ class TreeError(ValueError):
     """Raised when a structurally invalid tree is used where a valid one is required."""
 
 
-@dataclass(frozen=True)
-class DecompTree:
-    nodes: tuple[tuple, ...]
-    root: int
+class DecompTree(Record):
+    __slots__ = ("nodes", "root")
+
+    def __init__(self, nodes: tuple[tuple, ...], root: int):
+        self.nodes = nodes
+        self.root = root
 
     @property
     def n_leaves(self) -> int:

@@ -13,11 +13,11 @@ paired-dominating on their own.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from . import dectree
 from .dectree import DecompTree
+from .record import Record
 
 INF = math.inf
 
@@ -26,22 +26,30 @@ class DpError(RuntimeError):
     """A combined state violated its own invariants: implementation bug."""
 
 
-@dataclass(slots=True)
-class NodeState:
-    min: int
-    alpha: int
-    beta: int
-    ts_size: int
-    gamma_p: float  # int or math.inf
-    mty_ts: bool
-    mty_pr: bool
+class NodeState(Record):
+    __slots__ = ("min", "alpha", "beta", "ts_size", "gamma_p", "mty_ts", "mty_pr")
+    __hash__ = None  # the combines set fields after construction
+
+    # runs once per tree node in `solve`: plain assignments only
+    def __init__(self, min: int, alpha: int, beta: int, ts_size: int,
+                 gamma_p: float, mty_ts: bool, mty_pr: bool):
+        self.min = min
+        self.alpha = alpha
+        self.beta = beta
+        self.ts_size = ts_size
+        self.gamma_p = gamma_p  # int or math.inf
+        self.mty_ts = mty_ts
+        self.mty_pr = mty_pr
 
 
-@dataclass(frozen=True)
-class SolveResult:
-    gamma_p: float
-    states: Sequence[NodeState]  # indexed by tree node id
-    witness: Optional[tuple[int, ...]]
+class SolveResult(Record):
+    __slots__ = ("gamma_p", "states", "witness")
+
+    def __init__(self, gamma_p: float, states: Sequence[NodeState],
+                 witness: Optional[tuple[int, ...]]):
+        self.gamma_p = gamma_p
+        self.states = states  # indexed by tree node id
+        self.witness = witness
 
 
 def sat_add(a: float, b: float) -> float:

@@ -6,19 +6,22 @@ that every operation downstream is deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
+
+from .record import Record
 
 
 class GraphError(ValueError):
     """Raised for malformed graph input (self-loops, out-of-range ids)."""
 
 
-@dataclass(frozen=True)
-class Graph:
-    n: int
-    m: int
-    adjacency: tuple[tuple[int, ...], ...]
+class Graph(Record):
+    __slots__ = ("n", "m", "adjacency")
+
+    def __init__(self, n: int, m: int, adjacency: tuple[tuple[int, ...], ...]):
+        self.n = n
+        self.m = m
+        self.adjacency = adjacency
 
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.adjacency[u]

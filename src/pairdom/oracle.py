@@ -8,11 +8,11 @@ that silently degrades is worse than none.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional, Sequence
 
 from .graph import Graph, has_perfect_matching_induced, is_dominating
+from .record import Record
 
 INF = math.inf
 
@@ -31,15 +31,18 @@ def _guard(n: int, limit: int, what: str) -> None:
         raise OracleSizeError(f"{what} limited to n <= {limit}, got n = {n}")
 
 
-@dataclass(frozen=True)
-class OracleNodeReport:
-    gamma_k: tuple[Optional[int], ...]  # indexed 0..|ts|
-    min: int
-    alpha: int
-    beta: int
-    mty_ts: bool
-    mty_pr: bool
-    gamma_p: float
+class OracleNodeReport(Record):
+    __slots__ = ("gamma_k", "min", "alpha", "beta", "mty_ts", "mty_pr", "gamma_p")
+
+    def __init__(self, gamma_k: tuple[Optional[int], ...], min: int, alpha: int,
+                 beta: int, mty_ts: bool, mty_pr: bool, gamma_p: float):
+        self.gamma_k = gamma_k  # indexed 0..|ts|
+        self.min = min
+        self.alpha = alpha
+        self.beta = beta
+        self.mty_ts = mty_ts
+        self.mty_pr = mty_pr
+        self.gamma_p = gamma_p
 
 
 class _MatchMemo:

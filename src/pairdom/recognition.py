@@ -31,13 +31,13 @@ returned tree reproduces the input adjacency exactly.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
 
 from . import dectree
 from .dectree import DecompTree
 from .graph import Graph
+from .record import Record
 
 
 class ReductionKind(Enum):
@@ -47,11 +47,13 @@ class ReductionKind(Enum):
     FALSE_TWIN = dectree.FALSE_TWIN
 
 
-@dataclass(frozen=True)
-class Reduction:
-    kind: ReductionKind
-    removed: int
-    anchor: int
+class Reduction(Record):
+    __slots__ = ("kind", "removed", "anchor")
+
+    def __init__(self, kind: ReductionKind, removed: int, anchor: int):
+        self.kind = kind
+        self.removed = removed
+        self.anchor = anchor
 
 
 class NotDistanceHereditary(ValueError):

@@ -53,8 +53,10 @@ def _child_needs(label: str, need: int, ts_l: bool, pr_l: bool,
 
 
 def _split(i: int, label: str, k: int, need: int, sl: NodeState,
-           sr: NodeState, target: int) -> tuple[int, int, int, int]:
-    """(kl, kr, need_l, need_r) for a k-set request with `need` at node i.
+           sr: NodeState, target: int) -> tuple[int, int, int, int, int, int]:
+    """(kl, kr, need_l, need_r, gamma_kl, gamma_kr) for a k-set request
+    with `need` at node i, whose gamma_k is `target`. The children's
+    gamma values, which must add up to `target`, become their own targets.
 
     k = kl + kr at F nodes, kl - kr at A nodes (all kr are paired) and
     kl + kr - 2h at T nodes (h pairs, 0 <= h <= min(kl, kr)). A child's
@@ -86,15 +88,16 @@ def _split(i: int, label: str, k: int, need: int, sl: NodeState,
         # (1, 1) or (2, 2) costs the same and hits both twin sets, which
         # meets any need; under cond_d2, (0, 0) is the only optimal split
         kl = kr = 1 if al != ar else 2
-    if eval_gamma_k(sl, kl) + eval_gamma_k(sr, kr) != target:
+    gl, gr = eval_gamma_k(sl, kl), eval_gamma_k(sr, kr)
+    if gl + gr != target:
         raise WitnessError(f"node {i}: split ({kl}, {kr}) of k={k} misses "
                            f"gamma_k={target}")
     if kl or kr:  # needs come with k = 0, so kl = kr > 0 hit both TS
-        return kl, kr, 0, 0
+        return kl, kr, 0, 0, gl, gr
     needs = _child_needs(label, need, sl.mty_ts, sl.mty_pr, sr.mty_ts, sr.mty_pr)
     if needs is None:
         raise WitnessError(f"node {i}: no split of k=0 meets needs {need}")
-    return 0, 0, *needs
+    return 0, 0, *needs, gl, gr
 
 
 def _merge(a: list, b: list) -> list:
@@ -114,6 +117,7 @@ def _certificate(t: DecompTree, states: Sequence[NodeState]) -> list[tuple[int, 
         raise WitnessError("gamma_p is infinite: no witness exists")
     want = [0] * len(nodes)  # per node: the k of its request, or PDS
     need = bytearray(len(nodes))  # HIT/DOM needs of a k = 0 request, PAIR
+    gamma = [0] * len(nodes)  # per node: gamma_k of its k request, set by its parent's split
     want[t.root] = PDS
     for i in range(t.root, -1, -1):
         nd = nodes[i]
@@ -127,9 +131,10 @@ def _certificate(t: DecompTree, states: Sequence[NodeState]) -> list[tuple[int, 
                 continue
             k = want[i] = 0
             need[i] = PAIR if states[i].mty_pr else DOM
-        want[left], want[right], need[left], need[right] = _split(
-            i, label, k, need[i] & (HIT | DOM), states[left], states[right],
-            eval_gamma_k(states[i], k))
+            gamma[i] = eval_gamma_k(states[i], 0)
+        (want[left], want[right], need[left], need[right], gamma[left],
+         gamma[right]) = _split(i, label, k, need[i] & (HIT | DOM), states[left],
+                                states[right], gamma[i])
 
     pairs: list[tuple[int, int, int]] = []
     exempt: list = [None] * len(nodes)

@@ -32,6 +32,15 @@ def test_import_cli_loads_no_unused_modules():
                           env=_pairdom_env(), timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+    # dataclasses imports inspect, which imports ast, dis and tokenize: about
+    # a tenth of every CLI start, on the tree path and the graph path alike
+    for modules in ("pairdom.cli", "pairdom.cli, pairdom.recognition"):
+        code = (f"import sys, {modules}; print(sorted(m for m in ('dataclasses', "
+                "'inspect') if m in sys.modules))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=_pairdom_env(), timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]", modules
 
 
 def test_solve_graph(capsys, data_dir):

@@ -35,6 +35,15 @@ def test_twin_sets_ex7(ex7_tree):
             assert dectree.twin_set(t, i) == (nd[1],)
 
 
+def test_decomp_tree_compares_and_hashes_by_fields():
+    nodes = (dectree.leaf(0), dectree.leaf(1), ("A", 0, 1))
+    t = DecompTree(nodes, 2)
+    same = DecompTree(nodes=(dectree.leaf(0), dectree.leaf(1), ("A", 0, 1)), root=2)
+    assert t == same and hash(t) == hash(same) and len({t, same}) == 1
+    assert t != DecompTree(nodes, 1)
+    assert t != DecompTree((dectree.leaf(0), dectree.leaf(1), ("T", 0, 1)), 2)
+
+
 def test_validate_ok(ex7_tree):
     assert dectree.validate(ex7_tree) == []
 

@@ -166,6 +166,25 @@ def test_solve_deterministic():
     assert solve(t) == solve(t)
 
 
+def test_node_state_and_solve_result_compare_by_fields():
+    s = NodeState(min=1, alpha=0, beta=2, ts_size=3, gamma_p=INF,
+                  mty_ts=True, mty_pr=False)
+    assert s == NodeState(1, 0, 2, 3, INF, True, False)
+    assert s != NodeState(1, 0, 2, 3, INF, True, True)
+    with pytest.raises(TypeError):  # the combines mutate states
+        hash(s)
+    res = dp.SolveResult(gamma_p=2, states=[s], witness=(0, 1))
+    assert res == dp.SolveResult(2, [NodeState(1, 0, 2, 3, INF, True, False)], (0, 1))
+    assert res != dp.SolveResult(2, [s], None)
+
+
+def test_check_error_prints_the_state():
+    bad = NodeState(min=0, alpha=2, beta=1, ts_size=3, gamma_p=INF,
+                    mty_ts=False, mty_pr=False)
+    with pytest.raises(dp.DpError, match=r"NodeState\(min=0, alpha=2, beta=1, "):
+        dp._check(bad)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(2, 40), st.integers(0, 10_000))
 def test_invariants_on_random_trees(n, seed):

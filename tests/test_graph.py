@@ -33,6 +33,14 @@ def test_build_k2():
     assert g.has_edge(0, 1) and g.has_edge(1, 0)
 
 
+def test_graph_compares_and_hashes_by_fields():
+    g = build_graph(3, [(0, 1), (1, 2)])
+    same = Graph(n=3, m=2, adjacency=((1,), (0, 2), (1,)))
+    assert g == same and hash(g) == hash(same) and len({g, same}) == 1
+    assert g != build_graph(3, [(0, 1), (0, 2)])
+    assert g != build_graph(4, [(0, 1), (1, 2)])
+
+
 def test_build_ex7(ex7_graph):
     assert ex7_graph.n == 7 and ex7_graph.m == 13
 

@@ -139,7 +139,8 @@ def _check_every_split(t):
                     continue
                 requests += 1
                 where = (i, label, k, need)
-                kl, kr, nl, nr = _split(i, label, k, need, sl, sr, target)
+                kl, kr, nl, nr, gl, gr = _split(i, label, k, need, sl, sr, target)
+                assert (gl, gr) == (dp.eval_gamma_k(sl, kl), dp.eval_gamma_k(sr, kr)), where
                 assert 0 <= kl <= sl.ts_size and 0 <= kr <= sr.ts_size, where
                 if label == FALSE_TWIN:
                     assert k == kl + kr, where
