@@ -111,14 +111,6 @@ def _internal_errors() -> tuple:
     return recognition.DecomposeError, dp.DpError, WitnessError
 
 
-def _edge_count(tree, states) -> int:
-    """Edge count of the tree's expansion without building it: each T or A
-    node adds a biclique between its children's twin sets, whose sizes the
-    solver's states carry."""
-    return sum(states[nd[1]].ts_size * states[nd[2]].ts_size for nd in tree.nodes
-               if nd[0] == dectree.TRUE_TWIN or nd[0] == dectree.ATTACH)
-
-
 def cmd_solve(args) -> int:
     if (args.graph is None) == (args.tree is None):
         raise CliError("exactly one of --graph/--tree is required")
@@ -155,7 +147,7 @@ def cmd_solve(args) -> int:
         report = {
             "instance": instance,
             "n": tree.n_leaves,
-            "m": _edge_count(tree, result.states),
+            "m": dectree.edge_count(tree, result.states),
             "gamma_p": _gamma_json(result.gamma_p),
             "witness": list(witness) if witness is not None else None,
             "elapsed": {"build": t_build, "solve": t_solve, "reconstruct": t_rec},
@@ -238,12 +230,13 @@ def cmd_bench(args) -> int:
             t1 = time.perf_counter()
             dectree.loads(text)
             t2 = time.perf_counter()
-            if states[tree.root].gamma_p != dp.INF:  # else there is no witness
+            if states[tree.root][dp.GAMMA_P] != dp.INF:  # else there is no witness
                 reconstruct_witness(tree, states)
                 witness_times.append(time.perf_counter() - t2)
             solve_times.append(t1 - t0)
             loads_times.append(t2 - t1)
         med = statistics.median(solve_times)
+        peak = _peak_rss_bytes()
         rows.append({
             "n": n,
             "gen_s": round(t_gen, 6),
@@ -252,17 +245,21 @@ def cmd_bench(args) -> int:
             "median_witness_s": (round(statistics.median(witness_times), 6)
                                  if witness_times else None),
             "per_leaf_us": round(med / n * 1e6, 4),
+            # the process high-water mark so far, so it covers earlier sizes too
+            "peak_rss_mb": None if peak is None else round(peak / (1 << 20), 1),
             "repeats": args.repeats,
             "seed": seed,
         })
     header = (f"{'n':>10}  {'gen_s':>10}  {'loads_s':>10}  {'solve_s':>10}  "
-              f"{'witness_s':>10}  {'us/leaf':>10}")
+              f"{'witness_s':>10}  {'us/leaf':>10}  {'peak_MB':>10}")
     print(header)
     print("-" * len(header))
     for r in rows:
         witness_s = "none" if r["median_witness_s"] is None else f"{r['median_witness_s']:.4f}"
+        peak_mb = "none" if r["peak_rss_mb"] is None else f"{r['peak_rss_mb']:.1f}"
         print(f"{r['n']:>10}  {r['gen_s']:>10.4f}  {r['median_loads_s']:>10.4f}  "
-              f"{r['median_solve_s']:>10.4f}  {witness_s:>10}  {r['per_leaf_us']:>10.2f}")
+              f"{r['median_solve_s']:>10.4f}  {witness_s:>10}  {r['per_leaf_us']:>10.2f}  "
+              f"{peak_mb:>10}")
     for r in rows:
         print(json.dumps(r))
     return EXIT_OK
@@ -321,7 +318,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--set", required=True, help="comma-separated vertex ids")
     p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("bench", help="in-process loads, solve and witness times")
+    p = sub.add_parser("bench", help="in-process loads, solve and witness times, "
+                                     "and peak memory")
     p.add_argument("--sizes", required=True, help="comma-separated leaf counts")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--repeats", type=int, default=3)

@@ -8,6 +8,13 @@ unit steps, so (min, alpha, beta) reconstructs it exactly; ts_size bounds k;
 gamma_p is the paired-domination number of H itself; mty_ts / mty_pr record
 whether the optimal k=0 sets all avoid the twin set / all fail to be
 paired-dominating on their own.
+
+A state is the plain tuple (min, alpha, beta, ts_size, gamma_p, mty_ts,
+mty_pr); MIN .. MTY_PR name its indices. The three combine functions are
+the one definition of the rules: each unpacks its children's states and
+returns a new tuple, which `_check` tests against the curve's invariants.
+`solve` runs them in one forward pass over the tree's columns, and all
+leaves share one state.
 """
 
 from __future__ import annotations
@@ -21,25 +28,16 @@ from .record import Record
 
 INF = math.inf
 
+# The solver makes one state per internal node. An exact tuple of numbers
+# costs less to build than an object, and the garbage collector stops
+# tracking it; a tuple subclass, such as a NamedTuple, stays tracked.
+FIELDS = ("min", "alpha", "beta", "ts_size", "gamma_p", "mty_ts", "mty_pr")
+MIN, ALPHA, BETA, TS_SIZE, GAMMA_P, MTY_TS, MTY_PR = range(7)
+NodeState = tuple  # (min, alpha, beta, ts_size, gamma_p, mty_ts, mty_pr)
+
 
 class DpError(RuntimeError):
     """A combined state violated its own invariants: implementation bug."""
-
-
-class NodeState(Record):
-    __slots__ = ("min", "alpha", "beta", "ts_size", "gamma_p", "mty_ts", "mty_pr")
-    __hash__ = None  # the combines set fields after construction
-
-    # runs once per tree node in `solve`: plain assignments only
-    def __init__(self, min: int, alpha: int, beta: int, ts_size: int,
-                 gamma_p: float, mty_ts: bool, mty_pr: bool):
-        self.min = min
-        self.alpha = alpha
-        self.beta = beta
-        self.ts_size = ts_size
-        self.gamma_p = gamma_p  # int or math.inf
-        self.mty_ts = mty_ts
-        self.mty_pr = mty_pr
 
 
 class SolveResult(Record):
@@ -57,132 +55,129 @@ def sat_add(a: float, b: float) -> float:
     return INF if a == INF or b == INF else a + b
 
 
+_LEAF_STATE = (0, 0, 0, 1, INF, True, True)
+
+
 def leaf_state() -> NodeState:
-    return NodeState(min=0, alpha=0, beta=0, ts_size=1, gamma_p=INF,
-                     mty_ts=True, mty_pr=True)
+    return _LEAF_STATE
 
 
 def eval_gamma_k(s: NodeState, k: int) -> int:
     """gamma_k from the compressed curve (min, alpha, beta)."""
-    if not (0 <= k <= s.ts_size):
-        raise ValueError(f"k={k} out of range [0, {s.ts_size}]")
-    if k <= s.alpha:
-        return s.min + s.alpha - k
-    if k >= s.beta:
-        return s.min + k - s.beta
-    return s.min if (k - s.alpha) % 2 == 0 else s.min + 1
+    mn, alpha, beta, ts_size, _, _, _ = s
+    if not (0 <= k <= ts_size):
+        raise ValueError(f"k={k} out of range [0, {ts_size}]")
+    if k <= alpha:
+        return mn + alpha - k
+    if k >= beta:
+        return mn + k - beta
+    return mn if (k - alpha) % 2 == 0 else mn + 1
+
+
+def _show(s: NodeState) -> str:
+    return "NodeState(" + ", ".join(map("{}={!r}".format, FIELDS, s)) + ")"
 
 
 def _check(s: NodeState) -> NodeState:
-    if not (0 <= s.alpha <= s.beta <= s.ts_size):
-        raise DpError(f"alpha/beta/ts out of order: {s}")
-    if (s.beta - s.alpha) % 2 != 0:
-        raise DpError(f"beta - alpha odd: {s}")
-    if s.gamma_p != INF and s.gamma_p % 2 != 0:
-        raise DpError(f"odd finite gamma_p: {s}")
+    _, alpha, beta, ts_size, gamma_p, _, _ = s
+    if not (0 <= alpha <= beta <= ts_size):
+        raise DpError(f"alpha/beta/ts out of order: {_show(s)}")
+    if (beta - alpha) % 2 != 0:
+        raise DpError(f"beta - alpha odd: {_show(s)}")
+    if gamma_p != INF and gamma_p % 2 != 0:
+        raise DpError(f"odd finite gamma_p: {_show(s)}")
     return s
 
 
-def _mty_join(sl: NodeState, sr: NodeState) -> bool:
+def _mty_join(ts_l: bool, pr_l: bool, ts_r: bool, pr_r: bool) -> bool:
     # an optimal k=0 set of the join still dominates nothing extra for free:
     # it stays twin-set-free/pair-deficient unless one side can compensate
-    p_l, p_r, t_l, t_r = sl.mty_pr, sr.mty_pr, sl.mty_ts, sr.mty_ts
-    return (p_l or p_r) and (t_l or t_r) and (p_l or t_l) and (p_r or t_r)
+    return (pr_l or pr_r) and (ts_l or ts_r) and (pr_l or ts_l) and (pr_r or ts_r)
 
 
-def cond_d2(sl: NodeState, sr: NodeState) -> bool:
+def cond_d2(al: int, bl: int, ar: int, br: int) -> bool:
     """True when a T or A join's optimal 0-sets pair nothing across it:
     one child's curve is lowest at k = 0 (alpha 0), the other's only there
-    (beta 0)."""
-    return (sr.alpha == 0 and sl.beta == 0) or (sl.alpha == 0 and sr.beta == 0)
+    (beta 0). Takes the left and right children's alpha and beta."""
+    return (ar == 0 and bl == 0) or (al == 0 and br == 0)
 
+
+# In the combines, gamma_0 = min + alpha, since k = 0 <= alpha.
 
 def combine_true_twin(sl: NodeState, sr: NodeState) -> NodeState:
-    alpha = max(sl.alpha - sr.beta, sr.alpha - sl.beta,
-                abs(sl.alpha - sr.alpha) % 2)
-    s = NodeState(
-        min=sl.min + sr.min,
-        alpha=alpha,
-        beta=sl.beta + sr.beta,
-        ts_size=sl.ts_size + sr.ts_size,
-        gamma_p=0,
-        mty_ts=False,
-        mty_pr=False,
-    )
-    if cond_d2(sl, sr):
-        s.mty_pr = _mty_join(sl, sr)
-        s.mty_ts = sl.mty_ts and sr.mty_ts
-    s.gamma_p = eval_gamma_k(s, 0) + 2 * s.mty_pr
-    return _check(s)
+    min_l, al, bl, ts_l, _, t_l, p_l = sl
+    min_r, ar, br, ts_r, _, t_r, p_r = sr
+    mn = min_l + min_r
+    alpha = max(al - br, ar - bl, abs(al - ar) % 2)
+    if cond_d2(al, bl, ar, br):
+        mty_pr = _mty_join(t_l, p_l, t_r, p_r)
+        mty_ts = t_l and t_r
+    else:
+        mty_ts = mty_pr = False
+    return _check((mn, alpha, bl + br, ts_l + ts_r, mn + alpha + 2 * mty_pr,
+                   mty_ts, mty_pr))
 
 
 def combine_false_twin(sl: NodeState, sr: NodeState) -> NodeState:
-    s = NodeState(
-        min=sl.min + sr.min,
-        alpha=sl.alpha + sr.alpha,
-        beta=sl.beta + sr.beta,
-        ts_size=sl.ts_size + sr.ts_size,
-        gamma_p=sat_add(sl.gamma_p, sr.gamma_p),
-        mty_ts=sl.mty_ts and sr.mty_ts,
-        mty_pr=sl.mty_pr or sr.mty_pr,
-    )
-    return _check(s)
+    min_l, al, bl, ts_l, gp_l, t_l, p_l = sl
+    min_r, ar, br, ts_r, gp_r, t_r, p_r = sr
+    return _check((min_l + min_r, al + ar, bl + br, ts_l + ts_r, sat_add(gp_l, gp_r),
+                   t_l and t_r, p_l or p_r))
 
 
 def combine_attach(sl: NodeState, sr: NodeState) -> NodeState:
     """Attachment: the left child keeps the twin set."""
-    s = NodeState(min=0, alpha=0, beta=0, ts_size=sl.ts_size,
-                  gamma_p=0, mty_ts=False, mty_pr=False)
-    if sr.alpha > sl.beta:
+    min_l, al, bl, ts_l, _, t_l, p_l = sl
+    min_r, ar, br, _, _, t_r, p_r = sr
+    mty_ts = mty_pr = False
+    if ar > bl:
         # every optimal right set leaves more unpaired twin vertices than the
         # left side can absorb; pay to pair the excess, curve collapses
-        s.min = sl.min + sr.min + sr.alpha - sl.beta
-        s.alpha = s.beta = 0
-    elif cond_d2(sl, sr):
-        if sr.alpha == 0 and sl.beta == 0:
-            e = int(sl.mty_ts and sr.mty_pr)
-            s.min = sl.min + sr.min + e
-            s.alpha = s.beta = e
+        mn = min_l + min_r + ar - bl
+        alpha = beta = 0
+    elif cond_d2(al, bl, ar, br):
+        if ar == 0 and bl == 0:
+            e = int(t_l and p_r)
+            mn = min_l + min_r + e
+            alpha = beta = e
         else:
-            s.min = sl.min + sr.min
-            s.alpha = 0
-            s.beta = sl.beta
-        if not (sl.mty_ts and sr.mty_pr):
-            s.mty_pr = _mty_join(sl, sr)
-            s.mty_ts = sl.mty_ts
+            mn = min_l + min_r
+            alpha = 0
+            beta = bl
+        if not (t_l and p_r):
+            mty_pr = _mty_join(t_l, p_l, t_r, p_r)
+            mty_ts = t_l
     else:
-        s.min = sl.min + sr.min
-        s.alpha = max(sl.alpha - sr.beta, abs(sl.alpha - sr.alpha) % 2)
-        s.beta = sl.beta - sr.alpha
-    s.gamma_p = eval_gamma_k(s, 0) + 2 * s.mty_pr
-    return _check(s)
+        mn = min_l + min_r
+        alpha = max(al - br, abs(al - ar) % 2)
+        beta = bl - ar
+    return _check((mn, alpha, beta, ts_l, mn + alpha + 2 * mty_pr, mty_ts, mty_pr))
 
 
 _COMBINE = {
-    dectree.TRUE_TWIN: combine_true_twin,
-    dectree.FALSE_TWIN: combine_false_twin,
-    dectree.ATTACH: combine_attach,
+    dectree.TRUE_TWIN_TAG: combine_true_twin,
+    dectree.FALSE_TWIN_TAG: combine_false_twin,
+    dectree.ATTACH_TAG: combine_attach,
 }
 
 
 def solve(t: DecompTree, want_witness: bool = False) -> SolveResult:
     dectree.require_valid(t)
     # a valid tree lists children before parents, so one forward pass over
-    # the raw node tuples solves it; this loop runs a couple of million times
+    # the zipped columns solves it; this loop runs a couple of million times
     # for benchmark-sized trees, so no method calls inside
     states: list[NodeState] = []
     append = states.append
-    leaf_tag = dectree.LEAF
+    leaf_tag = dectree.LEAF_TAG
     combine = _COMBINE
-    # all leaves share one state object; combines never mutate their inputs
+    # all leaves share one state; states are tuples, so nothing mutates it
     shared_leaf = leaf_state()
-    for nd in t.nodes:
-        tag = nd[0]
+    for tag, left, right in zip(t.labels, t.left, t.right):
         if tag == leaf_tag:
             append(shared_leaf)
         else:
-            append(combine[tag](states[nd[1]], states[nd[2]]))
-    gamma_p = states[t.root].gamma_p
+            append(combine[tag](states[left], states[right]))
+    gamma_p = states[t.root][GAMMA_P]
     witness = None
     if want_witness and gamma_p != INF:
         from .witness import reconstruct_witness

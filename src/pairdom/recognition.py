@@ -41,10 +41,11 @@ from .record import Record
 
 
 class ReductionKind(Enum):
-    """Each kind's value is the label of the tree node its replay creates."""
-    PENDANT = dectree.ATTACH
-    TRUE_TWIN = dectree.TRUE_TWIN
-    FALSE_TWIN = dectree.FALSE_TWIN
+    """Each kind's value is the label column byte of the tree node its
+    replay creates."""
+    PENDANT = dectree.ATTACH_TAG
+    TRUE_TWIN = dectree.TRUE_TWIN_TAG
+    FALSE_TWIN = dectree.FALSE_TWIN_TAG
 
 
 class Reduction(Record):
@@ -115,15 +116,18 @@ def find_reduction(g: Graph) -> Optional[Reduction]:
 def _build_tree(last: int, reductions: list[Reduction]) -> DecompTree:
     """Replay removals in reverse, each overwriting the anchor's current leaf
     with a node over new leaves for the anchor and the removed vertex."""
-    nodes: list[tuple] = [dectree.leaf(last)]
+    leaf = dectree.LEAF_TAG
+    labels, lefts, rights = [leaf], [last], [0]  # a leaf's vertex is its left
     at = [0] * (len(reductions) + 1)  # vertex -> index of its current leaf
     for r in reversed(reductions):
-        i = len(nodes)
-        nodes[at[r.anchor]] = (r.kind.value, i, i + 1)
-        nodes.append(dectree.leaf(r.anchor))
-        nodes.append(dectree.leaf(r.removed))
+        i = len(labels)
+        j = at[r.anchor]
+        labels[j], lefts[j], rights[j] = r.kind.value, i, i + 1
+        labels += (leaf, leaf)
+        lefts += (r.anchor, r.removed)
+        rights += (0, 0)
         at[r.anchor], at[r.removed] = i, i + 1
-    return dectree.renumber(nodes, 0)
+    return dectree.renumber(labels, lefts, rights, 0)
 
 
 def _unfile(buckets: dict[int, list], hv: int, v: int) -> None:

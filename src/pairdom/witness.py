@@ -18,8 +18,8 @@ from __future__ import annotations
 import functools
 from typing import Sequence
 
-from .dectree import ATTACH, FALSE_TWIN, LEAF, TRUE_TWIN, DecompTree
-from .dp import INF, NodeState, cond_d2, eval_gamma_k
+from .dectree import ATTACH_TAG, FALSE_TWIN_TAG, LEAF_TAG, TRUE_TWIN_TAG, DecompTree
+from .dp import GAMMA_P, INF, MTY_PR, NodeState, cond_d2, eval_gamma_k
 
 PDS = -1  # request for a minimum paired-dominating set of the subtree
 HIT, DOM = 1, 2  # needs of a k = 0 request: D hits TS, D dominates TS
@@ -31,7 +31,7 @@ class WitnessError(RuntimeError):
 
 
 @functools.cache
-def _child_needs(label: str, need: int, ts_l: bool, pr_l: bool,
+def _child_needs(tag: int, need: int, ts_l: bool, pr_l: bool,
                  ts_r: bool, pr_r: bool):
     """Needs (need_l, need_r) of children both asked for k = 0, or None. A
     child's 0-set can hit its TS unless mty_ts, dominate it unless mty_pr,
@@ -41,9 +41,9 @@ def _child_needs(label: str, need: int, ts_l: bool, pr_l: bool,
     for nl in allowed_l:
         for nr in allowed_r:
             hl, dl, hr, dr = nl & HIT, nl & DOM, nr & HIT, nr & DOM
-            if label == FALSE_TWIN:  # no edges between the sides
+            if tag == FALSE_TWIN_TAG:  # no edges between the sides
                 ok, hit, dom = True, hl or hr, dl and dr
-            elif label == TRUE_TWIN:  # a D vertex in one TS sees all the other
+            elif tag == TRUE_TWIN_TAG:  # a D vertex in one TS sees all the other
                 ok, hit, dom = True, hl or hr, (hl or dr) and (hr or dl)
             else:  # A: TS is the left one, the right TS must be dominated now
                 ok, hit, dom = hl or dr, hl, hr or dl
@@ -52,11 +52,12 @@ def _child_needs(label: str, need: int, ts_l: bool, pr_l: bool,
     return None
 
 
-def _split(i: int, label: str, k: int, need: int, sl: NodeState,
+def _split(i: int, tag: int, k: int, need: int, sl: NodeState,
            sr: NodeState, target: int) -> tuple[int, int, int, int, int, int]:
     """(kl, kr, need_l, need_r, gamma_kl, gamma_kr) for a k-set request
-    with `need` at node i, whose gamma_k is `target`. The children's
-    gamma values, which must add up to `target`, become their own targets.
+    with `need` at node i, labelled `tag`, whose gamma_k is `target`. The
+    children's gamma values, which must add up to `target`, become their
+    own targets.
 
     k = kl + kr at F nodes, kl - kr at A nodes (all kr are paired) and
     kl + kr - 2h at T nodes (h pairs, 0 <= h <= min(kl, kr)). A child's
@@ -65,26 +66,27 @@ def _split(i: int, label: str, k: int, need: int, sl: NodeState,
     the children's alphas where the label's relation allows them, else the
     allowed split nearest to them.
     """
-    al, bl, ar, br = sl.alpha, sl.beta, sr.alpha, sr.beta
-    if label == ATTACH:
+    _, al, bl, _, _, ts_l, pr_l = sl
+    _, ar, br, size_r, _, ts_r, pr_r = sr
+    if tag == ATTACH_TAG:
         if ar == bl == 0:  # combine_attach's e: the right 0-set pairs one more
-            kr = int(k == 0 and sl.mty_ts and sr.mty_pr)
+            kr = int(k == 0 and ts_l and pr_r)
         else:  # also the collapse case (ar > bl) and cond_d2's other sub-case
             kr = max(0, min(max(ar, al - k), br, bl - k))
         kl = k + kr
-    elif label == TRUE_TWIN and al - ar > k:  # as at an A node, left first
+    elif tag == TRUE_TWIN_TAG and al - ar > k:  # as at an A node, left first
         kr = min(al - k, br)
         kl = kr + k
-    elif label == TRUE_TWIN and ar - al > k:  # as at an A node, right first
+    elif tag == TRUE_TWIN_TAG and ar - al > k:  # as at an A node, right first
         kl = min(ar - k, bl)
         kr = kl + k
-    elif label == TRUE_TWIN and al + ar >= k:  # both alphas, fixed for parity
+    elif tag == TRUE_TWIN_TAG and al + ar >= k:  # both alphas, fixed for parity
         odd = (al + ar - k) % 2
         kl, kr = (al - odd, ar) if al else (al, ar - odd)
     else:  # F, or T with al + ar < k: no pairs across
-        kl = max(min(max(k - ar, al), bl, k), k - sr.ts_size)
+        kl = max(min(max(k - ar, al), bl, k), k - size_r)
         kr = k - kl
-    if (kl, kr) == (0, 0) and label != FALSE_TWIN and not cond_d2(sl, sr):
+    if (kl, kr) == (0, 0) and tag != FALSE_TWIN_TAG and not cond_d2(al, bl, ar, br):
         # (1, 1) or (2, 2) costs the same and hits both twin sets, which
         # meets any need; under cond_d2, (0, 0) is the only optimal split
         kl = kr = 1 if al != ar else 2
@@ -94,7 +96,7 @@ def _split(i: int, label: str, k: int, need: int, sl: NodeState,
                            f"gamma_k={target}")
     if kl or kr:  # needs come with k = 0, so kl = kr > 0 hit both TS
         return kl, kr, 0, 0, gl, gr
-    needs = _child_needs(label, need, sl.mty_ts, sl.mty_pr, sr.mty_ts, sr.mty_pr)
+    needs = _child_needs(tag, need, ts_l, pr_l, ts_r, pr_r)
     if needs is None:
         raise WitnessError(f"node {i}: no split of k=0 meets needs {need}")
     return 0, 0, *needs, gl, gr
@@ -112,38 +114,37 @@ def _certificate(t: DecompTree, states: Sequence[NodeState]) -> list[tuple[int, 
     """The pairs (node, u, v) of a minimum paired-dominating set of a valid
     tree's graph: u and v are matched, and `node` is the T or A node whose
     biclique joins them (u on its left, v on its right)."""
-    nodes = t.nodes
-    if states[t.root].gamma_p == INF:
+    labels, lefts, rights = t.labels, t.left, t.right
+    n_nodes = len(labels)
+    if states[t.root][GAMMA_P] == INF:
         raise WitnessError("gamma_p is infinite: no witness exists")
-    want = [0] * len(nodes)  # per node: the k of its request, or PDS
-    need = bytearray(len(nodes))  # HIT/DOM needs of a k = 0 request, PAIR
-    gamma = [0] * len(nodes)  # per node: gamma_k of its k request, set by its parent's split
+    want = [0] * n_nodes  # per node: the k of its request, or PDS
+    need = bytearray(n_nodes)  # HIT/DOM needs of a k = 0 request, PAIR
+    gamma = [0] * n_nodes  # per node: gamma_k of its k request, set by its parent's split
     want[t.root] = PDS
-    for i in range(t.root, -1, -1):
-        nd = nodes[i]
-        if nd[0] == LEAF:
+    for i, tag, left, right in zip(range(t.root, -1, -1), reversed(labels),
+                                   reversed(lefts), reversed(rights)):
+        if tag == LEAF_TAG:
             continue
-        label, left, right = nd
         k = want[i]
         if k == PDS:
-            if label == FALSE_TWIN:  # two components: one set for each
+            if tag == FALSE_TWIN_TAG:  # two components: one set for each
                 want[left] = want[right] = PDS
                 continue
             k = want[i] = 0
-            need[i] = PAIR if states[i].mty_pr else DOM
+            need[i] = PAIR if states[i][MTY_PR] else DOM
             gamma[i] = eval_gamma_k(states[i], 0)
         (want[left], want[right], need[left], need[right], gamma[left],
-         gamma[right]) = _split(i, label, k, need[i] & (HIT | DOM), states[left],
+         gamma[right]) = _split(i, tag, k, need[i] & (HIT | DOM), states[left],
                                 states[right], gamma[i])
 
     pairs: list[tuple[int, int, int]] = []
-    exempt: list = [None] * len(nodes)
-    free: list = [None] * len(nodes)  # twin-set vertices not in D
-    for i, nd in enumerate(nodes):
-        if nd[0] == LEAF:
-            exempt[i], free[i] = ([nd[1]], []) if want[i] == 1 else ([], [nd[1]])
+    exempt: list = [None] * n_nodes
+    free: list = [None] * n_nodes  # twin-set vertices not in D
+    for i, (tag, left, right) in enumerate(zip(labels, lefts, rights)):
+        if tag == LEAF_TAG:  # left is the leaf's vertex
+            exempt[i], free[i] = ([left], []) if want[i] == 1 else ([], [left])
             continue
-        label, left, right = nd
         ex_l, ex_r, free_l, free_r = exempt[left], exempt[right], free[left], free[right]
         exempt[left] = exempt[right] = free[left] = free[right] = None
         if need[i] & PAIR:
@@ -153,7 +154,7 @@ def _certificate(t: DecompTree, states: Sequence[NodeState]) -> list[tuple[int, 
         # h = (kl + kr - k) / 2 cross pairs: 0 at an F node, kr at an A node
         for _ in range((len(ex_l) + len(ex_r) - want[i]) // 2):
             pairs.append((i, ex_l.pop(), ex_r.pop()))
-        if label == ATTACH:
+        if tag == ATTACH_TAG:
             exempt[i], free[i] = ex_l, free_l
         else:
             exempt[i], free[i] = _merge(ex_l, ex_r), _merge(free_l, free_r)
@@ -166,7 +167,8 @@ def _check(t: DecompTree, pairs: Sequence[tuple[int, int, int]]) -> None:
     when the T or A node's left child's twin set holds u and its right
     child's holds v; v is dominated when it is in D or a D vertex outside a
     subtree sees a twin set that holds v."""
-    nodes = t.nodes
+    labels, lefts, rights = t.labels, t.left, t.right
+    n_nodes = len(labels)
     n = t.n_leaves
     in_d = bytearray(n)
     for _, u, v in pairs:
@@ -177,39 +179,37 @@ def _check(t: DecompTree, pairs: Sequence[tuple[int, int, int]]) -> None:
     # children first: the first node of each subtree's block, and whether D
     # hits the twin set
     leaf_of = [0] * n
-    first = list(range(len(nodes)))
-    hit = bytearray(len(nodes))
-    for i, nd in enumerate(nodes):
-        if nd[0] == LEAF:
-            leaf_of[nd[1]] = i
-            hit[i] = in_d[nd[1]]
+    first = [0] * n_nodes
+    hit = bytearray(n_nodes)
+    for i, (tag, left, right) in enumerate(zip(labels, lefts, rights)):
+        if tag == LEAF_TAG:
+            leaf_of[left] = first[i] = i
+            hit[i] = in_d[left]
         else:
-            label, left, right = nd
             first[i] = first[left]
-            hit[i] = hit[left] or (label != ATTACH and hit[right])
+            hit[i] = hit[left] or (tag != ATTACH_TAG and hit[right])
     # parents first: whether a D vertex outside the subtree sees the whole
     # twin set, and the highest node whose twin set still holds it
-    seen = bytearray(len(nodes))
-    top = list(range(len(nodes)))
-    for i in range(t.root, -1, -1):
-        nd = nodes[i]
-        if nd[0] == LEAF:
-            if not (seen[i] or in_d[nd[1]]):
-                raise WitnessError(f"vertex {nd[1]} is not dominated")
+    seen = bytearray(n_nodes)
+    top = [0] * n_nodes
+    top[t.root] = t.root
+    for i, tag, left, right in zip(range(t.root, -1, -1), reversed(labels),
+                                   reversed(lefts), reversed(rights)):
+        if tag == LEAF_TAG:
+            if not (seen[i] or in_d[left]):
+                raise WitnessError(f"vertex {left} is not dominated")
             continue
-        label, left, right = nd
-        join = label != FALSE_TWIN
+        join = tag != FALSE_TWIN_TAG
         seen[left] = seen[i] or (join and hit[right])
-        seen[right] = (seen[i] and label != ATTACH) or (join and hit[left])
+        seen[right] = (seen[i] and tag != ATTACH_TAG) or (join and hit[left])
         top[left] = top[i]
-        if label != ATTACH:
-            top[right] = top[i]
+        top[right] = right if tag == ATTACH_TAG else top[i]
     for j, u, v in pairs:
-        nd = nodes[j]
+        left, right = lefts[j], rights[j]
         x, y = leaf_of[u], leaf_of[v]
-        if (nd[0] not in (TRUE_TWIN, ATTACH)
-                or not first[nd[1]] <= x <= nd[1] < y <= nd[2]
-                or top[x] < nd[1] or top[y] < nd[2]):
+        if (labels[j] not in (TRUE_TWIN_TAG, ATTACH_TAG)
+                or not first[left] <= x <= left < y <= right
+                or top[x] < left or top[y] < right):
             raise WitnessError(f"node {j}: pair ({u}, {v}) is not an edge")
 
 
@@ -217,7 +217,7 @@ def reconstruct_witness(t: DecompTree, states: Sequence[NodeState]) -> tuple[int
     """A minimum paired-dominating set of a valid tree's graph, sorted."""
     pairs = _certificate(t, states)
     _check(t, pairs)
-    if 2 * len(pairs) != states[t.root].gamma_p:
-        raise WitnessError(f"witness size {2 * len(pairs)} != gamma_p "
-                           f"{states[t.root].gamma_p}")
+    gamma_p = states[t.root][GAMMA_P]
+    if 2 * len(pairs) != gamma_p:
+        raise WitnessError(f"witness size {2 * len(pairs)} != gamma_p {gamma_p}")
     return tuple(sorted(w for _, u, v in pairs for w in (u, v)))

@@ -50,20 +50,24 @@ def data_dir():
 
 
 def is_leaf(t, node):
-    return t.nodes[node][0] == dectree.LEAF
+    return t.labels[node] == dectree.LEAF_TAG
 
 
 def label(t, node):
-    return t.nodes[node][0]
+    return dectree.LEAF if is_leaf(t, node) else chr(t.labels[node])
 
 
 def children(t, node):
-    _, left, right = t.nodes[node]
-    return left, right
+    return t.left[node], t.right[node]
 
 
 def leaf_vertex(t, node):
-    return t.nodes[node][1]
+    return t.left[node]
+
+
+def node_state(min, alpha, beta, ts_size, gamma_p, mty_ts, mty_pr):
+    """A solver state, the plain tuple `dp` keeps, from its named fields."""
+    return (min, alpha, beta, ts_size, gamma_p, mty_ts, mty_pr)
 
 
 def induced_subgraph(g, vertices):
@@ -90,7 +94,7 @@ def node_subproblems(t, g):
     """Per tree node: (node, induced subgraph of its leaves, local twin set)."""
     vhat, twin = {}, {}
     out = []
-    for node in range(len(t.nodes)):
+    for node in range(len(t.labels)):
         if is_leaf(t, node):
             v = leaf_vertex(t, node)
             vhat[node] = {v}

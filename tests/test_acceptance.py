@@ -92,10 +92,11 @@ def test_criterion_4_per_node_state_equivalence(report, corpus_nodes):
             nodes_checked += 1
             rep = oracle.oracle_node_state(sub, ts_local)
             s = res.states[node]
+            _, _, _, ts_size, gamma_p, mty_ts, mty_pr = s
             curve_ok = all(rep.gamma_k[k] == dp.eval_gamma_k(s, k)
-                           for k in range(s.ts_size + 1))
-            flags_ok = (rep.mty_ts == s.mty_ts and rep.mty_pr == s.mty_pr
-                        and rep.gamma_p == s.gamma_p)
+                           for k in range(ts_size + 1))
+            flags_ok = (rep.mty_ts == mty_ts and rep.mty_pr == mty_pr
+                        and rep.gamma_p == gamma_p)
             if not (curve_ok and flags_ok):
                 mismatches += 1
     report(4, mismatches == 0,
@@ -109,12 +110,13 @@ def test_criterion_5_unit_step_and_parity(report, corpus_small, corpus_nodes):
     for _, _, _, res in itertools.chain(corpus_small, corpus_nodes):
         for s in res.states:
             states_checked += 1
-            for k in range(s.ts_size):
+            _, alpha, beta, ts_size, gamma_p, _, _ = s
+            for k in range(ts_size):
                 if abs(dp.eval_gamma_k(s, k) - dp.eval_gamma_k(s, k + 1)) != 1:
                     violations += 1
-            if (s.beta - s.alpha) % 2 != 0:
+            if (beta - alpha) % 2 != 0:
                 violations += 1
-            if s.gamma_p != dp.INF and s.gamma_p % 2 != 0:
+            if gamma_p != dp.INF and gamma_p % 2 != 0:
                 violations += 1
     report(5, violations == 0,
            f"{states_checked} states: unit steps, even beta-alpha, "
@@ -207,10 +209,10 @@ def test_criterion_9_recursion_consistency(report, corpus_small):
             left, right = children(t, node)
             sl, sr = res.states[left], res.states[right]
             if label(t, node) == dectree.FALSE_TWIN:
-                if s.gamma_p != dp.sat_add(sl.gamma_p, sr.gamma_p):
+                if s[dp.GAMMA_P] != dp.sat_add(sl[dp.GAMMA_P], sr[dp.GAMMA_P]):
                     violations += 1
             else:
-                if s.gamma_p != dp.eval_gamma_k(s, 0) + 2 * s.mty_pr:
+                if s[dp.GAMMA_P] != dp.eval_gamma_k(s, 0) + 2 * s[dp.MTY_PR]:
                     violations += 1
     report(9, violations == 0,
            f"{nodes} internal nodes: twin joins add child gamma_p values, "

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import pairdom
-from pairdom import dectree
+from pairdom import cli, dectree
 from pairdom.cli import main
 
 
@@ -130,7 +130,7 @@ def test_solve_deep_star_tree_subprocess(tmp_path):
     for v in range(1, n):
         nodes += [dectree.leaf(v), ("A", len(nodes) - 1, len(nodes))]
     path = tmp_path / "star.json"
-    path.write_text(dectree.dumps(dectree.DecompTree(tuple(nodes), len(nodes) - 1)))
+    path.write_text(dectree.dumps(dectree.from_nodes(nodes, len(nodes) - 1)))
     env = _pairdom_env()
     for flags in (["--json"], ["--witness", "--json"]):
         proc = subprocess.run(
@@ -237,6 +237,16 @@ def test_bench_single_row(capsys):
     assert rows[0]["n"] == 500 and rows[0]["median_solve_s"] >= 0
     assert rows[0]["median_loads_s"] >= 0
     assert rows[0]["median_witness_s"] >= 0
+
+
+def test_bench_reports_the_peak_rss_after_each_size(capsys):
+    code, out, _ = run(capsys, "bench", "--sizes", "300,200", "--seed", "3",
+                       "--repeats", "1")
+    assert code == 0 and "peak_MB" in out
+    rows = [json.loads(ln) for ln in out.splitlines() if ln.startswith("{")]
+    peaks = [r["peak_rss_mb"] for r in rows]
+    # a high-water mark of this process, in MiB: it never falls
+    assert 1 <= peaks[0] <= peaks[1] <= cli._peak_rss_bytes() / (1 << 20) + 0.05
 
 
 def test_oracle_gamma_p(capsys, data_dir):

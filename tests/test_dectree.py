@@ -1,9 +1,12 @@
+import sys
+from array import array
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import children, is_leaf
 from pairdom import dectree
-from pairdom.dectree import DecompTree, TreeError
+from pairdom.dectree import DecompTree, TreeError, from_nodes
 
 
 def test_expand_ex7(ex7_tree, ex7_graph):
@@ -13,13 +16,13 @@ def test_expand_ex7(ex7_tree, ex7_graph):
 
 
 def test_expand_single_leaf():
-    t = DecompTree((dectree.leaf(0),), 0)
+    t = from_nodes((dectree.leaf(0),), 0)
     g, ts = dectree.expand(t)
     assert g.n == 1 and g.m == 0 and ts == (0,)
 
 
 def test_expand_attach_of_two_leaves():
-    t = DecompTree((dectree.leaf(0), dectree.leaf(1), ("A", 0, 1)), 2)
+    t = from_nodes((dectree.leaf(0), dectree.leaf(1), ("A", 0, 1)), 2)
     g, ts = dectree.expand(t)
     assert g.m == 1 and g.has_edge(0, 1)
     assert ts == (0,)  # left child keeps the twin set
@@ -37,11 +40,11 @@ def test_twin_sets_ex7(ex7_tree):
 
 def test_decomp_tree_compares_and_hashes_by_fields():
     nodes = (dectree.leaf(0), dectree.leaf(1), ("A", 0, 1))
-    t = DecompTree(nodes, 2)
-    same = DecompTree(nodes=(dectree.leaf(0), dectree.leaf(1), ("A", 0, 1)), root=2)
+    t = from_nodes(nodes, 2)
+    same = from_nodes(nodes=(dectree.leaf(0), dectree.leaf(1), ("A", 0, 1)), root=2)
     assert t == same and hash(t) == hash(same) and len({t, same}) == 1
-    assert t != DecompTree(nodes, 1)
-    assert t != DecompTree((dectree.leaf(0), dectree.leaf(1), ("T", 0, 1)), 2)
+    assert t != from_nodes(nodes, 1)
+    assert t != from_nodes((dectree.leaf(0), dectree.leaf(1), ("T", 0, 1)), 2)
 
 
 def test_validate_ok(ex7_tree):
@@ -49,45 +52,81 @@ def test_validate_ok(ex7_tree):
 
 
 def test_validate_duplicate_leaf_vertex():
-    t = DecompTree((dectree.leaf(0), dectree.leaf(0), ("T", 0, 1)), 2)
+    t = from_nodes((dectree.leaf(0), dectree.leaf(0), ("T", 0, 1)), 2)
     assert dectree.validate(t)
 
 
 def test_validate_shared_child():
-    t = DecompTree((dectree.leaf(0), ("T", 0, 0)), 1)
+    t = from_nodes((dectree.leaf(0), ("T", 0, 0)), 1)
     assert dectree.validate(t)
 
 
 def test_validate_rejects_broken_post_order():
     # node 1 names node 2 as a child, but children must come first
-    child_after_parent = DecompTree(
+    child_after_parent = from_nodes(
         (dectree.leaf(0), ("T", 0, 2), dectree.leaf(1), dectree.leaf(2), ("F", 1, 3)), 4)
     assert any("node 1" in v for v in dectree.validate(child_after_parent))
     # node 3 comes after the root and has no parent
-    root_not_last = DecompTree(
+    root_not_last = from_nodes(
         (dectree.leaf(0), dectree.leaf(1), ("T", 0, 1), dectree.leaf(2)), 2)
     assert any("root 2" in v for v in dectree.validate(root_not_last))
     # node 0 is a child of node 2 and of node 3: node 3's left child is not
     # the root of a subtree ending right before its right subtree
-    two_parents = DecompTree(
+    two_parents = from_nodes(
         (dectree.leaf(0), dectree.leaf(1), ("T", 0, 1), ("F", 0, 2)), 3)
     assert any("node 3" in v for v in dectree.validate(two_parents))
     # children come first and each has one parent, but node 4's left
     # subtree {0} is not contiguous with its right subtree {1, 2, 3}
-    split_subtree = DecompTree(
+    split_subtree = from_nodes(
         (dectree.leaf(0), dectree.leaf(1), dectree.leaf(2), ("T", 0, 2), ("F", 3, 1)), 4)
     assert any("node 3" in v for v in dectree.validate(split_subtree))
     with pytest.raises(TreeError):
         dectree.dumps(split_subtree)
     # node 0 lies outside the root's subtree
-    orphan = DecompTree(
+    orphan = from_nodes(
         (dectree.leaf(2), dectree.leaf(0), dectree.leaf(1), ("T", 1, 2)), 3)
     assert any("outside the root's subtree" in v for v in dectree.validate(orphan))
 
 
 def test_validate_bad_label():
-    t = DecompTree((dectree.leaf(0), dectree.leaf(1), ("X", 0, 1)), 2)
+    t = DecompTree(b"LLX", array("i", [0, 1, 0]), array("i", [0, 0, 1]), 2)
     assert dectree.validate(t)
+
+
+def test_malformed_nodes_are_reported():
+    # node tuples the columns cannot hold are refused when the tree is built
+    for nodes in ([dectree.leaf(0), dectree.leaf(1), ("X", 0, 1)],
+                  [dectree.leaf(0), ("T", 0)],
+                  [("leaf", 0, 1)],
+                  [dectree.leaf(1 << 40)]):
+        with pytest.raises(TreeError, match="node "):
+            from_nodes(nodes, len(nodes) - 1)
+    # the rest are trees that `validate` reports
+    leaves = array("i", [0, 1, 0])
+    for t in (from_nodes((), 0),
+              from_nodes((dectree.leaf(0), dectree.leaf(2), ("T", 0, 1)), 2),
+              from_nodes((dectree.leaf(-1), dectree.leaf(1), ("T", 0, 1)), 2),
+              DecompTree(b"LLT", leaves, array("i", [0, 0]), 2)):
+        assert dectree.validate(t)
+        with pytest.raises(TreeError):
+            dectree.require_valid(t)
+
+
+def test_columns_take_at_most_16_bytes_per_node():
+    t = dectree.generate(100_000, seed=1)
+    for tree in (t, dectree.loads(dectree.dumps(t))):
+        size = sum(map(sys.getsizeof, (tree.labels, tree.left, tree.right)))
+        assert size <= 16 * len(tree.labels)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 40), st.integers(0, 10_000))
+def test_node_tuples_round_trip_through_the_columns(n, seed):
+    t = dectree.generate(n, seed)
+    again = from_nodes(t.nodes, t.root)
+    assert again.nodes == t.nodes
+    assert again == t and hash(again) == hash(t)
+    assert again != from_nodes(t.nodes, t.root - 1)
 
 
 def test_generate_single_leaf():
@@ -156,10 +195,12 @@ MUTANTS = ("r before l", "repeated op", "extra key", "missing r", "missing op",
 def _render(t, rng, mutant=None, at=None):
     """JSON text of `t` with random key orders and random JSON whitespace
     between tokens; `mutant` breaks the node `at` in the named way."""
+    nodes = t.nodes
+
     def tokens(i):
-        nd = t.nodes[i]
+        nd = nodes[i]
         if nd[0] == "leaf":
-            v = t.nodes[at][1] if mutant == "duplicate vertex" and i == at + 1 else nd[1]
+            v = nodes[at][1] if mutant == "duplicate vertex" and i == at + 1 else nd[1]
             return ["{", '"leaf"', ":", str(v), "}"]
         members = {"op": ['"%s"' % nd[0]], "l": tokens(nd[1]), "r": tokens(nd[2])}
         order = list(rng.choice(KEY_ORDERS))
@@ -194,10 +235,11 @@ def test_loads_accepts_every_key_order_and_rejects_mutants(n, seed, rng):
     again = dectree.loads(_render(t, rng))
     assert again == t
     assert dectree.validate(again) == []
-    internal = [i for i, nd in enumerate(t.nodes) if nd[0] != "leaf"]
+    nodes = t.nodes
+    internal = [i for i, nd in enumerate(nodes) if nd[0] != "leaf"]
     # two leaves in a row: the duplicate mutant gives the second the first's vertex
-    leaf_pairs = [i for i in range(len(t.nodes) - 1)
-                  if t.nodes[i][0] == t.nodes[i + 1][0] == "leaf"]
+    leaf_pairs = [i for i in range(len(nodes) - 1)
+                  if nodes[i][0] == nodes[i + 1][0] == "leaf"]
     for mutant in MUTANTS:
         at = rng.choice(leaf_pairs if mutant == "duplicate vertex" else internal)
         with pytest.raises(TreeError):
@@ -233,7 +275,7 @@ def test_deep_tree_no_recursion_limit():
     nodes = [dectree.leaf(0)]
     for v in range(1, 5000):
         nodes += [dectree.leaf(v), ("A", len(nodes) - 1, len(nodes))]
-    t = DecompTree(tuple(nodes), len(nodes) - 1)
+    t = from_nodes(tuple(nodes), len(nodes) - 1)
     assert t.n_leaves == 5000
     assert dectree.loads(dectree.dumps(t)).n_leaves == 5000
     g, ts = dectree.expand(t)

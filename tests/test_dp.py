@@ -3,11 +3,10 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import children, is_leaf, label
+from conftest import children, is_leaf, label, node_state
 from pairdom import dectree, dp
 from pairdom.dp import (
     INF,
-    NodeState,
     combine_attach,
     combine_false_twin,
     combine_true_twin,
@@ -23,21 +22,21 @@ def states(draw):
     alpha = draw(st.integers(0, ts))
     beta = draw(st.integers(alpha, ts).filter(lambda b: (b - alpha) % 2 == 0))
     mn = draw(st.integers(0, 20))
-    return NodeState(min=mn, alpha=alpha, beta=beta, ts_size=ts,
-                     gamma_p=INF, mty_ts=False, mty_pr=False)
+    return node_state(min=mn, alpha=alpha, beta=beta, ts_size=ts,
+                      gamma_p=INF, mty_ts=False, mty_pr=False)
 
 
 def test_leaf_state():
     s = leaf_state()
-    assert (s.min, s.alpha, s.beta, s.ts_size) == (0, 0, 0, 1)
-    assert s.gamma_p == INF and s.mty_ts and s.mty_pr
+    assert (s[dp.MIN], s[dp.ALPHA], s[dp.BETA], s[dp.TS_SIZE]) == (0, 0, 0, 1)
+    assert s[dp.GAMMA_P] == INF and s[dp.MTY_TS] and s[dp.MTY_PR]
     assert eval_gamma_k(s, 0) == 0
     assert eval_gamma_k(s, 1) == 1
 
 
 def test_eval_gamma_k_worked_curve():
-    s = NodeState(min=1, alpha=4, beta=10, ts_size=11,
-                  gamma_p=INF, mty_ts=False, mty_pr=False)
+    s = node_state(min=1, alpha=4, beta=10, ts_size=11,
+                   gamma_p=INF, mty_ts=False, mty_pr=False)
     assert eval_gamma_k(s, 0) == 5
     assert eval_gamma_k(s, 7) == 2
     assert eval_gamma_k(s, 6) == 1
@@ -58,83 +57,83 @@ def test_eval_gamma_k_out_of_range():
 
 @given(states())
 def test_unit_step_property(s):
-    for k in range(s.ts_size):
+    for k in range(s[dp.TS_SIZE]):
         assert abs(eval_gamma_k(s, k) - eval_gamma_k(s, k + 1)) == 1
 
 
 @given(states())
 def test_curve_minimum_attained_between_alpha_and_beta(s):
-    values = [eval_gamma_k(s, k) for k in range(s.ts_size + 1)]
-    assert min(values) == s.min
-    attained = [k for k, v in enumerate(values) if v == s.min]
-    assert attained[0] == s.alpha and attained[-1] == s.beta
+    values = [eval_gamma_k(s, k) for k in range(s[dp.TS_SIZE] + 1)]
+    assert min(values) == s[dp.MIN]
+    attained = [k for k, v in enumerate(values) if v == s[dp.MIN]]
+    assert attained[0] == s[dp.ALPHA] and attained[-1] == s[dp.BETA]
 
 
 def test_true_twin_of_two_leaves():
     s = combine_true_twin(leaf_state(), leaf_state())
-    assert (s.min, s.alpha, s.beta, s.ts_size) == (0, 0, 0, 2)
-    assert s.mty_pr and s.mty_ts and s.gamma_p == 2
+    assert (s[dp.MIN], s[dp.ALPHA], s[dp.BETA], s[dp.TS_SIZE]) == (0, 0, 0, 2)
+    assert s[dp.MTY_PR] and s[dp.MTY_TS] and s[dp.GAMMA_P] == 2
 
 
 def test_true_twin_ex7_root(ex7_tree):
-    kl = NodeState(min=0, alpha=0, beta=0, ts_size=3, gamma_p=2,
-                   mty_ts=True, mty_pr=True)
-    kr = NodeState(min=1, alpha=1, beta=1, ts_size=2, gamma_p=2,
-                   mty_ts=False, mty_pr=False)
+    kl = node_state(min=0, alpha=0, beta=0, ts_size=3, gamma_p=2,
+                    mty_ts=True, mty_pr=True)
+    kr = node_state(min=1, alpha=1, beta=1, ts_size=2, gamma_p=2,
+                    mty_ts=False, mty_pr=False)
     s = combine_true_twin(kl, kr)
-    assert (s.min, s.alpha, s.beta, s.ts_size) == (1, 1, 1, 5)
-    assert not s.mty_ts and not s.mty_pr and s.gamma_p == 2
+    assert (s[dp.MIN], s[dp.ALPHA], s[dp.BETA], s[dp.TS_SIZE]) == (1, 1, 1, 5)
+    assert not s[dp.MTY_TS] and not s[dp.MTY_PR] and s[dp.GAMMA_P] == 2
     assert solve(ex7_tree).states[ex7_tree.root] == s
 
 
 def test_true_twin_leaf_with_false_twin_pair():
     inner = combine_false_twin(leaf_state(), leaf_state())
     s = combine_true_twin(leaf_state(), inner)
-    assert (s.min, s.alpha, s.beta, s.ts_size) == (0, 0, 0, 3)
-    assert s.mty_pr and s.mty_ts and s.gamma_p == 2
+    assert (s[dp.MIN], s[dp.ALPHA], s[dp.BETA], s[dp.TS_SIZE]) == (0, 0, 0, 3)
+    assert s[dp.MTY_PR] and s[dp.MTY_TS] and s[dp.GAMMA_P] == 2
 
 
 def test_false_twin_of_two_leaves():
     s = combine_false_twin(leaf_state(), leaf_state())
-    assert (s.min, s.alpha, s.beta, s.ts_size) == (0, 0, 0, 2)
-    assert s.mty_pr and s.mty_ts and s.gamma_p == INF
+    assert (s[dp.MIN], s[dp.ALPHA], s[dp.BETA], s[dp.TS_SIZE]) == (0, 0, 0, 2)
+    assert s[dp.MTY_PR] and s[dp.MTY_TS] and s[dp.GAMMA_P] == INF
 
 
 def test_false_twin_sums_gamma_p():
     k2 = combine_true_twin(leaf_state(), leaf_state())
     s = combine_false_twin(k2, k2)
-    assert s.gamma_p == 4
+    assert s[dp.GAMMA_P] == 4
 
 
 def test_false_twin_saturates_infinity():
     k2 = combine_true_twin(leaf_state(), leaf_state())
     s = combine_false_twin(k2, leaf_state())
-    assert s.gamma_p == INF
+    assert s[dp.GAMMA_P] == INF
 
 
 def test_attach_curve_collapse_case():
     # right child insists on one unpaired twin vertex, left offers none
-    kl = NodeState(min=0, alpha=0, beta=0, ts_size=3, gamma_p=2,
-                   mty_ts=True, mty_pr=True)
-    kr = NodeState(min=1, alpha=1, beta=1, ts_size=2, gamma_p=2,
-                   mty_ts=False, mty_pr=False)
+    kl = node_state(min=0, alpha=0, beta=0, ts_size=3, gamma_p=2,
+                    mty_ts=True, mty_pr=True)
+    kr = node_state(min=1, alpha=1, beta=1, ts_size=2, gamma_p=2,
+                    mty_ts=False, mty_pr=False)
     s = combine_attach(kl, kr)
-    assert (s.min, s.alpha, s.beta, s.ts_size) == (2, 0, 0, 3)
-    assert not s.mty_ts and not s.mty_pr and s.gamma_p == 2
+    assert (s[dp.MIN], s[dp.ALPHA], s[dp.BETA], s[dp.TS_SIZE]) == (2, 0, 0, 3)
+    assert not s[dp.MTY_TS] and not s[dp.MTY_PR] and s[dp.GAMMA_P] == 2
 
 
 def test_attach_pairing_penalty_case():
     left = combine_true_twin(leaf_state(), leaf_state())   # K2, flags 1/1
     right = combine_false_twin(leaf_state(), leaf_state())  # 2 isolated, 1/1
     s = combine_attach(left, right)
-    assert (s.min, s.alpha, s.beta, s.ts_size) == (1, 1, 1, 2)
-    assert not s.mty_ts and not s.mty_pr and s.gamma_p == 2
+    assert (s[dp.MIN], s[dp.ALPHA], s[dp.BETA], s[dp.TS_SIZE]) == (1, 1, 1, 2)
+    assert not s[dp.MTY_TS] and not s[dp.MTY_PR] and s[dp.GAMMA_P] == 2
 
 
 def test_attach_of_two_leaves():
     s = combine_attach(leaf_state(), leaf_state())
-    assert (s.min, s.alpha, s.beta, s.ts_size) == (1, 1, 1, 1)
-    assert not s.mty_ts and not s.mty_pr and s.gamma_p == 2
+    assert (s[dp.MIN], s[dp.ALPHA], s[dp.BETA], s[dp.TS_SIZE]) == (1, 1, 1, 1)
+    assert not s[dp.MTY_TS] and not s[dp.MTY_PR] and s[dp.GAMMA_P] == 2
 
 
 def test_solve_ex7(ex7_tree):
@@ -145,20 +144,27 @@ def test_solve_ex7_attach_root(ex7_tree_attach_root):
     res = solve(ex7_tree_attach_root)
     assert res.gamma_p == 2
     root = res.states[ex7_tree_attach_root.root]
-    assert (root.min, root.alpha, root.beta, root.ts_size) == (2, 0, 0, 3)
+    assert (root[dp.MIN], root[dp.ALPHA], root[dp.BETA], root[dp.TS_SIZE]) == (2, 0, 0, 3)
 
 
 def test_solve_single_leaf():
-    t = dectree.DecompTree((dectree.leaf(0),), 0)
+    t = dectree.from_nodes((dectree.leaf(0),), 0)
     assert solve(t).gamma_p == INF
 
 
 def test_solve_forest_with_isolated_component():
     # F-joined forest where one component is a lone vertex
     k2 = ("T", 0, 1)
-    t = dectree.DecompTree(
+    t = dectree.from_nodes(
         (dectree.leaf(0), dectree.leaf(1), k2, dectree.leaf(2), ("F", 2, 3)), 4)
     assert solve(t).gamma_p == INF
+
+
+def test_solve_shares_one_leaf_state():
+    t = dectree.generate(200, seed=4)
+    states = solve(t).states
+    leaf_states = {id(states[i]) for i in range(len(t.labels)) if is_leaf(t, i)}
+    assert leaf_states == {id(leaf_state())}
 
 
 def test_solve_deterministic():
@@ -167,20 +173,20 @@ def test_solve_deterministic():
 
 
 def test_node_state_and_solve_result_compare_by_fields():
-    s = NodeState(min=1, alpha=0, beta=2, ts_size=3, gamma_p=INF,
-                  mty_ts=True, mty_pr=False)
-    assert s == NodeState(1, 0, 2, 3, INF, True, False)
-    assert s != NodeState(1, 0, 2, 3, INF, True, True)
-    with pytest.raises(TypeError):  # the combines mutate states
-        hash(s)
+    s = node_state(min=1, alpha=0, beta=2, ts_size=3, gamma_p=INF,
+                   mty_ts=True, mty_pr=False)
+    assert s == node_state(1, 0, 2, 3, INF, True, False)
+    assert s != node_state(1, 0, 2, 3, INF, True, True)
+    with pytest.raises(TypeError):  # a state is a tuple: it cannot be mutated
+        s[dp.MIN] = 0
     res = dp.SolveResult(gamma_p=2, states=[s], witness=(0, 1))
-    assert res == dp.SolveResult(2, [NodeState(1, 0, 2, 3, INF, True, False)], (0, 1))
+    assert res == dp.SolveResult(2, [node_state(1, 0, 2, 3, INF, True, False)], (0, 1))
     assert res != dp.SolveResult(2, [s], None)
 
 
 def test_check_error_prints_the_state():
-    bad = NodeState(min=0, alpha=2, beta=1, ts_size=3, gamma_p=INF,
-                    mty_ts=False, mty_pr=False)
+    bad = node_state(min=0, alpha=2, beta=1, ts_size=3, gamma_p=INF,
+                     mty_ts=False, mty_pr=False)
     with pytest.raises(dp.DpError, match=r"NodeState\(min=0, alpha=2, beta=1, "):
         dp._check(bad)
 
@@ -191,15 +197,15 @@ def test_invariants_on_random_trees(n, seed):
     t = dectree.generate(n, seed)
     res = solve(t)
     for node, s in enumerate(res.states):
-        assert 0 <= s.alpha <= s.beta <= s.ts_size
-        assert (s.beta - s.alpha) % 2 == 0
-        assert s.gamma_p == INF or s.gamma_p % 2 == 0
-        for k in range(s.ts_size):
+        assert 0 <= s[dp.ALPHA] <= s[dp.BETA] <= s[dp.TS_SIZE]
+        assert (s[dp.BETA] - s[dp.ALPHA]) % 2 == 0
+        assert s[dp.GAMMA_P] == INF or s[dp.GAMMA_P] % 2 == 0
+        for k in range(s[dp.TS_SIZE]):
             assert abs(eval_gamma_k(s, k) - eval_gamma_k(s, k + 1)) == 1
         if not is_leaf(t, node):
             left, right = children(t, node)
             sl, sr = res.states[left], res.states[right]
             if label(t, node) == dectree.FALSE_TWIN:
-                assert s.gamma_p == dp.sat_add(sl.gamma_p, sr.gamma_p)
+                assert s[dp.GAMMA_P] == dp.sat_add(sl[dp.GAMMA_P], sr[dp.GAMMA_P])
             else:
-                assert s.gamma_p == eval_gamma_k(s, 0) + 2 * s.mty_pr
+                assert s[dp.GAMMA_P] == eval_gamma_k(s, 0) + 2 * s[dp.MTY_PR]

@@ -67,13 +67,13 @@ def test_node_state_k2_full_ts():
 
 
 def test_node_state_single_vertex_matches_leaf():
-    from pairdom.dp import eval_gamma_k, leaf_state
+    from pairdom.dp import GAMMA_P, MTY_PR, MTY_TS, eval_gamma_k, leaf_state
 
     rep = oracle_node_state(build_graph(1, []), [0])
     leaf = leaf_state()
     assert rep.gamma_k == tuple(eval_gamma_k(leaf, k) for k in range(2))
-    assert rep.mty_ts == leaf.mty_ts and rep.mty_pr == leaf.mty_pr
-    assert rep.gamma_p == leaf.gamma_p
+    assert rep.mty_ts == leaf[MTY_TS] and rep.mty_pr == leaf[MTY_PR]
+    assert rep.gamma_p == leaf[GAMMA_P]
 
 
 def test_node_state_guard():

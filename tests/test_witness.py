@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pairdom import dectree, dp
-from pairdom.dectree import ATTACH, FALSE_TWIN, LEAF, DecompTree, leaf
+from pairdom.dectree import ATTACH_TAG, FALSE_TWIN_TAG, LEAF_TAG, from_nodes, leaf
 from pairdom.graph import is_paired_dominating
 from pairdom.oracle import oracle_gamma_p
 from pairdom.witness import (DOM, HIT, WitnessError, _certificate, _check, _split,
@@ -21,14 +21,14 @@ def test_ex7_witness(ex7_tree, ex7_graph):
 
 
 def test_k2_witness():
-    t = dectree.DecompTree(
+    t = dectree.from_nodes(
         (dectree.leaf(0), dectree.leaf(1), ("T", 0, 1)), 2)
     res = dp.solve(t, want_witness=True)
     assert res.witness == (0, 1)
 
 
 def test_no_witness_when_infinite():
-    t = dectree.DecompTree((dectree.leaf(0),), 0)
+    t = dectree.from_nodes((dectree.leaf(0),), 0)
     res = dp.solve(t, want_witness=True)
     assert res.witness is None
     with pytest.raises(WitnessError):
@@ -66,10 +66,10 @@ def test_check_rejects_corrupted_certificates():
     # 2K2 = F(T(0, 1), T(2, 3)); the path 0-1-2 = A(0, A(1, 2)); the bowtie
     # T(T(0, 3), A(1, T(2, 4))) of triangles 0-1-3 and 1-2-4. In the last
     # two, vertex 2 leaves the twin set at the inner A node.
-    two_k2 = DecompTree((leaf(0), leaf(1), ("T", 0, 1), leaf(2), leaf(3),
+    two_k2 = from_nodes((leaf(0), leaf(1), ("T", 0, 1), leaf(2), leaf(3),
                          ("T", 3, 4), ("F", 2, 5)), 6)
-    p3 = DecompTree((leaf(0), leaf(1), leaf(2), ("A", 1, 2), ("A", 0, 3)), 4)
-    bowtie = DecompTree((leaf(0), leaf(3), ("T", 0, 1), leaf(1), leaf(2), leaf(4),
+    p3 = from_nodes((leaf(0), leaf(1), leaf(2), ("A", 1, 2), ("A", 0, 3)), 4)
+    bowtie = from_nodes((leaf(0), leaf(3), ("T", 0, 1), leaf(1), leaf(2), leaf(4),
                          ("T", 4, 5), ("A", 3, 6), ("T", 2, 7)), 8)
     for t in (two_k2, p3, bowtie):
         _check(t, _certificate(t, dp.solve(t).states))
@@ -107,16 +107,16 @@ def test_witness_matches_oracle_over_label_mixes(weights):
 def _allowed(s, need):
     """A 0-set of a node with state s can hit its twin set unless mty_ts,
     dominate it unless mty_pr, and do both unless either."""
-    return not (need & HIT and s.mty_ts or need & DOM and s.mty_pr)
+    return not (need & HIT and s[dp.MTY_TS] or need & DOM and s[dp.MTY_PR])
 
 
-def _joined_needs(label, nl, nr):
+def _joined_needs(tag, nl, nr):
     """(ok, hit, dom) of the parent's 0-set formed from children's 0-sets
     meeting needs nl and nr, which pair nothing across the join."""
     hl, dl, hr, dr = nl & HIT, nl & DOM, nr & HIT, nr & DOM
-    if label == FALSE_TWIN:  # no edges between the two sides
+    if tag == FALSE_TWIN_TAG:  # no edges between the two sides
         return True, hl or hr, dl and dr
-    if label == ATTACH:  # the left twin set stays; the right one is dominated now
+    if tag == ATTACH_TAG:  # the left twin set stays; the right one is dominated now
         return hl or dr, hl, hr or dl
     # true twins: a D vertex in one twin set sees all of the other
     return True, hl or hr, (hl or dr) and (hr or dl)
@@ -127,24 +127,23 @@ def _check_every_split(t):
     allow, and check the split against the curves; return the request count."""
     states = dp.solve(t).states
     requests = 0
-    for i, nd in enumerate(t.nodes):
-        if nd[0] == LEAF:
+    for i, (tag, left, right) in enumerate(zip(t.labels, t.left, t.right)):
+        if tag == LEAF_TAG:
             continue
-        label, left, right = nd
         s, sl, sr = states[i], states[left], states[right]
-        for k in range(s.ts_size + 1):
+        for k in range(s[dp.TS_SIZE] + 1):
             target = dp.eval_gamma_k(s, k)
             for need in (range(4) if k == 0 else (0,)):
                 if not _allowed(s, need):
                     continue
                 requests += 1
-                where = (i, label, k, need)
-                kl, kr, nl, nr, gl, gr = _split(i, label, k, need, sl, sr, target)
+                where = (i, chr(tag), k, need)
+                kl, kr, nl, nr, gl, gr = _split(i, tag, k, need, sl, sr, target)
                 assert (gl, gr) == (dp.eval_gamma_k(sl, kl), dp.eval_gamma_k(sr, kr)), where
-                assert 0 <= kl <= sl.ts_size and 0 <= kr <= sr.ts_size, where
-                if label == FALSE_TWIN:
+                assert 0 <= kl <= sl[dp.TS_SIZE] and 0 <= kr <= sr[dp.TS_SIZE], where
+                if tag == FALSE_TWIN_TAG:
                     assert k == kl + kr, where
-                elif label == ATTACH:
+                elif tag == ATTACH_TAG:
                     assert k == kl - kr, where
                 else:
                     assert abs(kl - kr) <= k <= kl + kr, where
@@ -154,7 +153,7 @@ def _check_every_split(t):
                     assert nl == nr == 0, where
                     continue
                 assert _allowed(sl, nl) and _allowed(sr, nr), where
-                ok, hit, dom = _joined_needs(label, nl, nr)
+                ok, hit, dom = _joined_needs(tag, nl, nr)
                 assert ok and (hit or not need & HIT) and (dom or not need & DOM), where
     return requests
 
