@@ -4,7 +4,12 @@ Subcommands: solve, gen, check, bench, oracle. Exit codes: 0 success,
 1 failed check, 2 parse/usage error, 3 input not distance-hereditary,
 4 oracle size guard exceeded, 5 internal error (a self-check of
 recognition, the solver or the witness failed), 6 out of memory.
-PDOM_SEED provides the default seed.
+Standard output that cannot be written (a full disk, a closed pipe) is a
+usage error, exit 2. PDOM_SEED provides the default seed.
+
+`run` is the process entry point of the `pairdom` script and of
+`python -m pairdom`; `main(argv)` returns the exit code instead, for callers
+in the same process.
 """
 
 from __future__ import annotations
@@ -25,6 +30,8 @@ EXIT_NOT_DH = 3
 EXIT_ORACLE_GUARD = 4
 EXIT_INTERNAL = 5
 EXIT_OUT_OF_MEMORY = 6
+
+COMMANDS = ("solve", "gen", "check", "bench", "oracle")
 
 
 class CliError(Exception):
@@ -57,6 +64,15 @@ def _write(path: str, text: str) -> None:
             fh.write(text)
     except OSError as exc:
         raise CliError(f"cannot write {path}: {exc}")
+
+
+def _print(*lines: str) -> None:
+    """Print lines to standard output; a failed write is a usage error."""
+    try:
+        for line in lines:
+            print(line)
+    except OSError as exc:
+        raise CliError(f"cannot write standard output: {exc}")
 
 
 def _load_graph(path: str):
@@ -153,11 +169,11 @@ def cmd_solve(args) -> int:
             "elapsed": {"build": t_build, "solve": t_solve, "reconstruct": t_rec},
             "peak_memory": _peak_rss_bytes(),
         }
-        print(json.dumps(report))
+        _print(json.dumps(report))
     else:
-        print(f"gamma_p {_gamma_str(result.gamma_p)}")
+        _print(f"gamma_p {_gamma_str(result.gamma_p)}")
         if witness is not None:
-            print("witness " + ",".join(str(v) for v in witness))
+            _print("witness " + ",".join(str(v) for v in witness))
     return EXIT_OK
 
 
@@ -192,17 +208,17 @@ def cmd_check(args) -> int:
             raise CliError(f"vertex {v} out of range for n={g.n}")
     d = sorted(set(ids))
     if len(d) % 2 == 1:
-        print("fail: odd set size")
+        _print("fail: odd set size")
         return EXIT_CHECK_FAILED
     if not is_dominating(g, d, range(g.n)):
-        print("fail: set is not dominating")
+        _print("fail: set is not dominating")
         return EXIT_CHECK_FAILED
     from .graph import has_perfect_matching_induced
 
     if not has_perfect_matching_induced(g, d):
-        print("fail: induced subgraph has no perfect matching")
+        _print("fail: induced subgraph has no perfect matching")
         return EXIT_CHECK_FAILED
-    print("ok: paired-dominating")
+    _print("ok: paired-dominating")
     return EXIT_OK
 
 
@@ -252,16 +268,14 @@ def cmd_bench(args) -> int:
         })
     header = (f"{'n':>10}  {'gen_s':>10}  {'loads_s':>10}  {'solve_s':>10}  "
               f"{'witness_s':>10}  {'us/leaf':>10}  {'peak_MB':>10}")
-    print(header)
-    print("-" * len(header))
+    _print(header, "-" * len(header))
     for r in rows:
         witness_s = "none" if r["median_witness_s"] is None else f"{r['median_witness_s']:.4f}"
         peak_mb = "none" if r["peak_rss_mb"] is None else f"{r['peak_rss_mb']:.1f}"
-        print(f"{r['n']:>10}  {r['gen_s']:>10.4f}  {r['median_loads_s']:>10.4f}  "
-              f"{r['median_solve_s']:>10.4f}  {witness_s:>10}  {r['per_leaf_us']:>10.2f}  "
-              f"{peak_mb:>10}")
-    for r in rows:
-        print(json.dumps(r))
+        _print(f"{r['n']:>10}  {r['gen_s']:>10.4f}  {r['median_loads_s']:>10.4f}  "
+               f"{r['median_solve_s']:>10.4f}  {witness_s:>10}  {r['per_leaf_us']:>10.2f}  "
+               f"{peak_mb:>10}")
+    _print(*(json.dumps(r) for r in rows))
     return EXIT_OK
 
 
@@ -272,70 +286,84 @@ def cmd_oracle(args) -> int:
     try:
         if args.ts is None:
             gamma = oracle.oracle_gamma_p(g)
-            print(_gamma_str(gamma))
+            _print(_gamma_str(gamma))
             return EXIT_OK
         ts = _parse_ids(args.ts)
         if args.k is not None:
             val = oracle.oracle_dk(g, ts, args.k)
-            print("none" if val is None else str(val))
+            _print("none" if val is None else str(val))
             return EXIT_OK
         rep = oracle.oracle_node_state(g, ts)
     except oracle.OracleSizeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ORACLE_GUARD
     table = " ".join("none" if v is None else str(v) for v in rep.gamma_k)
-    print(f"gamma_k {table}")
-    print(f"min {rep.min} alpha {rep.alpha} beta {rep.beta}")
-    print(f"mty_ts {int(rep.mty_ts)} mty_pr {int(rep.mty_pr)}")
-    print(f"gamma_p {_gamma_str(rep.gamma_p)}")
+    _print(f"gamma_k {table}",
+           f"min {rep.min} alpha {rep.alpha} beta {rep.beta}",
+           f"mty_ts {int(rep.mty_ts)} mty_pr {int(rep.mty_pr)}",
+           f"gamma_p {_gamma_str(rep.gamma_p)}")
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The pairdom argument parser. When argv starts with a subcommand name,
+    only that subcommand's parser is built, which saves building the other
+    four on every call; otherwise (help, a typo, no argument) all five are."""
+    command = argv[0] if argv and argv[0] in COMMANDS else None
     parser = argparse.ArgumentParser(
         prog="pairdom",
         description="Paired domination on distance-hereditary graphs.")
-    sub = parser.add_subparsers(dest="command", required=True)
+    # with one subparser built, the usage line still names all five commands
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        metavar=None if command is None else "{" + ",".join(COMMANDS) + "}")
 
-    p = sub.add_parser("solve", help="compute gamma_p for a graph or tree file")
-    p.add_argument("--graph")
-    p.add_argument("--tree")
-    p.add_argument("--witness", action="store_true")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_solve)
+    if command in (None, "solve"):
+        p = sub.add_parser("solve", help="compute gamma_p for a graph or tree file")
+        p.add_argument("--graph")
+        p.add_argument("--tree")
+        p.add_argument("--witness", action="store_true")
+        p.add_argument("--json", action="store_true")
+        p.set_defaults(func=cmd_solve)
 
-    p = sub.add_parser("gen", help="generate a random decomposition tree")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--weights", default="1,1,1",
-                   help="true-twin,false-twin,attach label weights")
-    p.add_argument("--out-tree")
-    p.add_argument("--out-graph")
-    p.set_defaults(func=cmd_gen)
+    if command in (None, "gen"):
+        p = sub.add_parser("gen", help="generate a random decomposition tree")
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--weights", default="1,1,1",
+                       help="true-twin,false-twin,attach label weights")
+        p.add_argument("--out-tree")
+        p.add_argument("--out-graph")
+        p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("check", help="verify a paired-dominating set")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--set", required=True, help="comma-separated vertex ids")
-    p.set_defaults(func=cmd_check)
+    if command in (None, "check"):
+        p = sub.add_parser("check", help="verify a paired-dominating set")
+        p.add_argument("--graph", required=True)
+        p.add_argument("--set", required=True, help="comma-separated vertex ids")
+        p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("bench", help="in-process loads, solve and witness times, "
-                                     "and peak memory")
-    p.add_argument("--sizes", required=True, help="comma-separated leaf counts")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--repeats", type=int, default=3)
-    p.set_defaults(func=cmd_bench)
+    if command in (None, "bench"):
+        p = sub.add_parser("bench", help="in-process loads, solve and witness times, "
+                                         "and peak memory")
+        p.add_argument("--sizes", required=True, help="comma-separated leaf counts")
+        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--repeats", type=int, default=3)
+        p.set_defaults(func=cmd_bench)
 
-    p = sub.add_parser("oracle", help="brute-force ground truth (small n)")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--ts", default=None)
-    p.add_argument("--k", type=int, default=None)
-    p.set_defaults(func=cmd_oracle)
+    if command in (None, "oracle"):
+        p = sub.add_parser("oracle", help="brute-force ground truth (small n)")
+        p.add_argument("--graph", required=True)
+        p.add_argument("--ts", default=None)
+        p.add_argument("--k", type=int, default=None)
+        p.set_defaults(func=cmd_oracle)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
@@ -354,5 +382,22 @@ def main(argv=None) -> int:
         return EXIT_OUT_OF_MEMORY
 
 
+def run() -> None:
+    """Run main on the command line, flush the standard streams and end the
+    process with os._exit. That skips interpreter teardown (module cleanup,
+    the final garbage collection, freeing every object built), which takes
+    longer than a small solve; nothing pairdom holds needs it."""
+    code = main()
+    try:
+        if sys.stdout is not None:  # None when descriptor 1 was closed at start
+            sys.stdout.flush()
+    except OSError as exc:
+        print(f"error: cannot write standard output: {exc}", file=sys.stderr)
+        code = EXIT_USAGE
+    if sys.stderr is not None:
+        sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

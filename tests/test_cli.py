@@ -143,6 +143,70 @@ def test_solve_deep_star_tree_subprocess(tmp_path):
     assert len(set(report["witness"])) == 2 and 0 in report["witness"]
 
 
+def _buffered_env():
+    # a pipe or a file then gets block-buffered output, flushed only at exit
+    env = _pairdom_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
+def test_hard_exit_loses_no_output(tmp_path, capsys):
+    tree = dectree.generate(60000, 1)
+    path = tmp_path / "t.json"
+    path.write_text(dectree.dumps(tree))
+    argv = ["solve", "--tree", str(path), "--witness", "--json"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    keys = ("n", "m", "gamma_p", "witness")
+    expected = {k: json.loads(out)[k] for k in keys}
+    cmd = [sys.executable, "-m", "pairdom", *argv]
+    env = _buffered_env()
+    piped = subprocess.run(cmd, capture_output=True, env=env, timeout=300)
+    report = tmp_path / "report.json"
+    with open(report, "wb") as fh:
+        filed = subprocess.run(cmd, stdout=fh, stderr=subprocess.PIPE, env=env,
+                               timeout=300)
+    for proc, text in ((piped, piped.stdout), (filed, report.read_bytes())):
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert len(text) > 64 * 1024  # more than a pipe buffer holds
+        assert text.endswith(b"\n")  # print's last newline waits for the flush
+        assert {k: json.loads(text)[k] for k in keys} == expected
+    out_tree = tmp_path / "gen.json"
+    proc = subprocess.run([sys.executable, "-m", "pairdom", "gen", "--n", "60000",
+                           "--seed", "1", "--out-tree", str(out_tree)],
+                          capture_output=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert dectree.loads(out_tree.read_text()) == tree
+
+
+@pytest.mark.parametrize("target, unbuffered", [
+    ("/dev/full", False),  # the final flush fails
+    ("/dev/full", True),   # the write inside solve fails
+    ("closed pipe", False),
+])
+def test_unwritable_stdout_exits_2(data_dir, target, unbuffered):
+    env = _buffered_env()
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    if target == "closed pipe":
+        read_end, fd = os.pipe()
+        os.close(read_end)
+    elif os.path.exists(target):
+        fd = os.open(target, os.O_WRONLY)
+    else:
+        pytest.skip(f"no {target} on this platform")
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "pairdom", "solve", "--tree",
+             str(data_dir / "ex7_tree.json"), "--json"],
+            stdout=fd, stderr=subprocess.PIPE, text=True, env=env, timeout=60)
+    finally:
+        os.close(fd)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: cannot write standard output: ")
+    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+
+
 def test_solve_json_null_gamma(capsys, data_dir):
     code, out, _ = run(capsys, "solve", "--tree", str(data_dir / "leaf.json"),
                        "--json")
@@ -226,6 +290,28 @@ def test_usage_errors_exit_2(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def _parse_exit(capsys, parser, argv):
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args(argv)
+    out = capsys.readouterr()
+    return exc.value.code, out.out, out.err
+
+
+def test_usage_with_lazily_built_subparsers(capsys):
+    code, out, _ = run(capsys, "-h")
+    assert code == 0 and all(c in out for c in cli.COMMANDS)
+    code, _, err = run(capsys, "sovle")
+    assert code == 2 and all(c in err.split("choose from")[1] for c in cli.COMMANDS)
+    assert run(capsys)[0] == 2
+    for command in cli.COMMANDS:
+        code, out, _ = run(capsys, command, "-h")
+        assert code == 0 and out.startswith(f"usage: pairdom {command} ")
+        # the parser built for one command reads as the one built for all five
+        for argv in ([command, "-h"], [command, "--bogus"]):
+            assert (_parse_exit(capsys, cli.build_parser(argv), argv)
+                    == _parse_exit(capsys, cli.build_parser(), argv))
 
 
 def test_bench_single_row(capsys):
