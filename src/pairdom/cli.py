@@ -50,9 +50,9 @@ def _default_seed() -> int:
         raise CliError(f"PDOM_SEED must be an integer, got {raw!r}")
 
 
-def _read(path: str) -> str:
+def _read(path: str) -> bytes:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "rb") as fh:
             return fh.read()
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}")
@@ -77,12 +77,15 @@ def _print(*lines: str) -> None:
 
 def _load_graph(path: str):
     try:
-        return parse_graph_text(_read(path))
+        return parse_graph_text(_read(path).decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise CliError(f"{path}: byte {exc.start} is not UTF-8 ({exc.reason})")
     except GraphError as exc:
         raise CliError(f"{path}: {exc}")
 
 
 def _load_tree(path: str):
+    # the reader takes the bytes, which saves decoding the text and a copy of it
     try:
         return dectree.loads(_read(path))
     except dectree.TreeError as exc:
@@ -238,7 +241,7 @@ def cmd_bench(args) -> int:
         t0 = time.perf_counter()
         tree = dectree.generate(n, seed)
         t_gen = time.perf_counter() - t0
-        text = dectree.dumps(tree)
+        text = dectree.dumps(tree).encode()  # the bytes that solve --tree reads
         solve_times, loads_times, witness_times = [], [], []
         for _ in range(args.repeats):
             t0 = time.perf_counter()
@@ -305,12 +308,22 @@ def cmd_oracle(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    def print_help(self, file=None):
+        # argparse drops a failed write, so help that cannot be written
+        # would end in exit 0
+        try:
+            print(self.format_help(), end="", file=file)
+        except OSError as exc:
+            raise CliError(f"cannot write standard output: {exc}")
+
+
 def build_parser(argv=None) -> argparse.ArgumentParser:
     """The pairdom argument parser. When argv starts with a subcommand name,
     only that subcommand's parser is built, which saves building the other
     four on every call; otherwise (help, a typo, no argument) all five are."""
     command = argv[0] if argv and argv[0] in COMMANDS else None
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pairdom",
         description="Paired domination on distance-hereditary graphs.")
     # with one subparser built, the usage line still names all five commands
@@ -366,10 +379,9 @@ def main(argv=None) -> int:
     parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else 0
-    try:
         return args.func(args)
+    except SystemExit as exc:  # from argparse: help (0) or a usage error
+        return EXIT_USAGE if exc.code not in (0, None) else 0
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code

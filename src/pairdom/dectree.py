@@ -14,10 +14,12 @@ tree, or over one subtree, is one loop over the zipped columns, children
 first or parents first, and no tree, however deep, touches the call stack
 (`dumps`, which writes in pre-order, keeps its own stack). The functions
 that create nodes in another order, `generate` and recognition's replay,
-lay them out with `renumber`. The JSON reader `loads` emits nodes in this
-order by construction and checks only that the leaves carry the vertices
-0..n-1, so what it returns is valid without a `validate` pass, and tree
-files of any nesting depth load.
+lay them out with `renumber`. The JSON reader `loads` checks the text in
+whole-text passes that C does and then emits the nodes in this order as
+they close, one Python step per node event; it refuses a node without two
+children or without exactly one label and leaves that do not carry the
+vertices 0..n-1, so what it returns is valid without a `validate` pass, and
+tree files of any nesting depth load.
 
 `DecompTree.nodes` shows the same tree as tuples, ("leaf", vertex) or
 (label, left, right), built on each access; `from_nodes` is its inverse.
@@ -25,9 +27,11 @@ files of any nesting depth load.
 
 from __future__ import annotations
 
+import json
 import math
 import random
 import re
+import sys
 from array import array
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -344,98 +348,166 @@ def dumps(t: DecompTree) -> str:
     return "".join(chunks)
 
 
-# One match per piece of the text, told apart by the one group each piece
-# has: an internal node's end, its right child's start, a whole leaf, an
-# opening with or without the label, a label after a child, or any other
-# character (always an error, so only whitespace goes unread). The two most
-# common pieces after leaves come first. "~" stands for JSON whitespace:
-# space, tab, LF or CR. Integers have no leading zeros.
-_PIECE = re.compile(r"""~(?:
-      (\})
-    | (,~"r"~:)
-    | \{~(?: "leaf"~:~(-?(?:0|[1-9][0-9]*))~\}
-         | "op"~:~"([TFA])"~,~"l"~:
-         | ("l")~: )
-    | ,~"op"~:~"([TFA])"
-    | ([^ \t\n\r])
-)""".replace("~", r"[ \t\n\r]*"), re.ASCII | re.VERBOSE)
-_CLOSE, _RIGHT, _LEAF, _OPEN_OP, _OPEN, _OP = range(1, 7)
+# `loads` reads a text in five kinds of piece: a whole leaf, an opening with
+# or without its label, the `, "r":` separator, a label after a child and a
+# closing brace. A node (a leaf or an opening) starts the text or follows a
+# piece that ends in ":", an opening or the separator; every other piece
+# follows one that ends a node, in "}" or in the '"' of a label. _SHAPE
+# matches pieces, each with the JSON whitespace before it ("~": space, tab,
+# LF or CR), and its look-behinds check that rule on the character before
+# that whitespace. Integers have no leading zeros. The repeats are
+# possessive ("+"), which keeps no backtracking state. Python 3.10 has no
+# possessive repeats, so there the "+"s are dropped; an ordinary repeat
+# keeps some state per piece, so one match covers at most 4096 pieces.
+_POSSESSIVE = b"+" if sys.version_info >= (3, 11) else b""
+_SHAPE = re.compile(rb"""(?:
+      (?<=[}"])~(?: \} | ,~(?: "r"~: | "op"~:~"[TFA]" ) )
+    | (?<![}"])~\{~(?: "leaf"~:~-?(?:0|[1-9][0-9]*)~\}
+                    | "op"~:~"[TFA]"~,~"l"~:
+                    | "l"~: )
+){0,4096}+(?:~\Z)?+""".replace(b"~", rb"[ \t\n\r]*+").replace(b"+", _POSSESSIVE),
+                    re.VERBOSE)
 
 
-def _fail(text: str, m, expected: str) -> TreeError:
-    start = m.end() - len(m.group().lstrip(" \t\n\r"))
-    return TreeError(f"offset {start}: expected {expected}, got {text[start:start + 24]!r}")
+def _delete_all_but(keep: bytes) -> bytes:
+    return bytes(range(256)).translate(None, keep)
 
 
-def loads(text: str) -> DecompTree:
-    """Read the nested JSON tree format without recursion.
+# In a text that _SHAPE matches, "f" occurs only in "leaf", digits only in
+# leaf vertices, "r" only in the separator and "T", "F" and "A" only as labels.
+# So the vertex stream keeps the digits and a comma for each "f", and the
+# event stream keeps "{}TFAfr": a leaf is "{f}", an opening "{" or "{T",
+# a late label "T", the separator "r" and a closing brace "}". Folding the
+# leaf with the byte after it and the label with its opening leaves one
+# byte per event, at most three per leaf.
+_COMMA_FOR_F = bytes(range(256)).replace(b"f", b",")
+_NOT_VERTEX = _delete_all_but(b"0123456789-f")
+_NOT_EVENT = _delete_all_but(b"{}TFAfr")
+_FOLDS = ((b"{f}r", b"1"),  # a leaf, then the separator: a left child
+          (b"{f}}", b"2"),  # a leaf, then its parent's closing brace
+          (b"{f}", b"0"),   # a leaf, then a late label
+          (b"{T", b"t"), (b"{F", b"f"), (b"{A", b"a"))
+# The stack entry of an open node before its separator: minus its label,
+# or -1 while it has none. Indexed by the event byte of an opening (lower
+# case or "{") or of a late label; the entries are shared int objects, so a
+# deep stack costs one pointer per open node.
+_MARK = [0] * 128
+for _tag in LABEL_TAGS:
+    _MARK[_tag] = _MARK[_tag | 32] = -_tag
+_MARK[ord("{")] = -1
+del _tag
 
-    Each regular-expression match is a whole leaf or one piece of an
-    internal node, and a node joins the columns when it closes, so the nodes
-    come out in post-order by construction and files of any nesting depth
-    load. Keys may come in any order, except that "l" comes before "r";
-    other keys are rejected, as are string escapes. Each leaf's vertex is
-    checked as it is read; what is left for the end is that no vertex
-    reaches the leaf count, so the tree returned is valid without a
-    `validate` pass.
+
+def _syntax_error(text: bytes, pos: int) -> TreeError:
+    j = pos
+    while j and text[j - 1] in b" \t\n\r":
+        j -= 1
+    expected = ('"}", ", \\"r\\": <node>" or ", \\"op\\": <label>"'
+                if j and text[j - 1] in b'}"' else
+                'a node {"leaf": <int>} or {"op": "T"|"F"|"A", "l": ..., "r": ...}')
+    got = text[pos:pos + 24].decode("ascii", "backslashreplace")
+    return TreeError(f"offset {pos}: expected {expected}, got {got!r}")
+
+
+def loads(text: str | bytes) -> DecompTree:
+    """Read the nested JSON tree format, as text or as its bytes, without
+    recursion.
+
+    Keys may come in any order, except that "l" comes before "r"; other
+    keys are rejected, as are string escapes. C does the per-character work
+    in whole-text passes: `_SHAPE` checks the piece grammar, `translate`
+    pulls out the leaf vertices and the node events, and `json.loads`
+    reads the vertices. Then one Python step per event fills the columns:
+    each open node keeps its label and, once its separator has come, the
+    node count at that point, one past its left child's id, on a stack. A
+    node joins the columns when it closes, so the nodes come out in
+    post-order by construction and files of any nesting depth load. A
+    grammar error names the text offset, a structure error the node or the
+    leaf vertex. The tree returned is valid without a `validate` pass.
     """
-    # a leaf takes at least the 10 characters of {"leaf":0}, so the
-    # vertices of a valid tree stay below len(text) // 10
-    seen = bytearray(len(text) // 10 + 1)
-    labels = bytearray()
-    lefts, rights = array("i"), array("i")
-    add_label, add_left, add_right = labels.append, lefts.append, rights.append
-    tag_of, leaf_tag = _TAG, LEAF_TAG
-    opened: list[list] = []  # internal nodes not closed yet: [tag, left child id]
-    want_node = True  # a node starts next; otherwise one has just ended
-    for m in _PIECE.finditer(text):
-        piece = m.lastindex
-        if want_node:
-            if piece == _LEAF:
-                try:
-                    v = int(m[_LEAF])
-                    repeated = seen[v]
-                except (ValueError, IndexError):  # past int()'s digit limit or `seen`
-                    repeated = True
-                if repeated or v < 0:
-                    raise TreeError(f"offset {m.start(_LEAF)}: leaf vertex "
-                                    f"{m[_LEAF][:24]} is repeated or outside 0..n-1")
-                seen[v] = 1
-                add_left(v)
-                add_right(0)
-                add_label(leaf_tag)
-                want_node = False
-            elif piece == _OPEN_OP:
-                opened.append([tag_of[m[_OPEN_OP]], None])
-            elif piece == _OPEN:
-                opened.append([None, None])  # the label comes after "l"
-            else:
-                raise _fail(text, m, 'a node {"leaf": <int>} or {"op": "T"|"F"|"A", '
-                                     '"l": ..., "r": ...}')
-            continue
-        if not opened:
-            raise _fail(text, m, "the end of the text")
-        top = opened[-1]
-        if piece == _CLOSE and top[1] is not None and top[0] is not None:
-            add_right(len(labels) - 1)
-            add_label(top[0])
-            add_left(top[1])
-            opened.pop()
-        elif piece == _RIGHT and top[1] is None:
-            top[1] = len(labels) - 1  # the left child has just ended
-            want_node = True
-        elif piece == _OP and top[0] is None:
-            top[0] = tag_of[m[_OP]]
-        else:
-            raise _fail(text, m, ('"r"' if top[0] else '"op" or "r"') if top[1] is None
-                        else ("'}'" if top[0] else '"op"'))
-    if want_node or opened:
+    if isinstance(text, str):
+        try:
+            text = text.encode("ascii")
+        except UnicodeEncodeError as exc:
+            raise TreeError(f"offset {exc.start}: expected JSON in ASCII, got "
+                            f"{text[exc.start:exc.start + 24]!r}") from None
+    pos = 0
+    while True:
+        end = _SHAPE.match(text, pos).end()
+        if end == pos:
+            break
+        pos = end
+    if pos != len(text):
+        raise _syntax_error(text, pos)
+
+    # json.loads reads the ints faster than int() on split tokens; in slices
+    # of about 64 KiB, so that no list holds a Python int per leaf at once
+    stream = text.translate(_COMMA_FOR_F, _NOT_VERTEX)  # ",v,v,...,v"
+    n = stream.count(b",")
+    seen = bytearray(n)
+    vertices = array("i")
+    start = 0
+    while start < len(stream):
+        end = stream.find(b",", start + (1 << 16))
+        if end == -1:
+            end = len(stream)
+        try:
+            chunk = json.loads(b"[%s]" % stream[start + 1:end])
+        except ValueError:  # past int()'s digit limit
+            raise TreeError("a leaf vertex has more digits than int() reads") from None
+        for v in chunk:
+            if not 0 <= v < n or seen[v]:
+                raise TreeError(f"leaf vertex {str(v)[:24]} is repeated or outside "
+                                f"0..{n - 1}")
+            seen[v] = 1
+        vertices.fromlist(chunk)
+        start = end
+    del stream
+
+    events = text.translate(None, _NOT_EVENT)
+    n_nodes = events.count(b"}")  # one per leaf and one per closing brace
+    for piece, event in _FOLDS:
+        events = events.replace(piece, event)
+    labels = bytearray([LEAF_TAG]) * n_nodes
+    lefts, rights = array("i", [0]) * n_nodes, array("i", [0]) * n_nodes
+    vertex = iter(vertices).__next__
+    mark = _MARK
+    stack: list[int] = []
+    push, pop = stack.append, stack.pop
+    i = 0  # the next node's id
+    try:
+        for e in events:
+            if e < 64:  # "0", "1" or "2": a leaf, then what its fold names
+                lefts[i] = vertex()
+                i += 1
+                if e == 48:
+                    continue
+            if e == 125 or e == 50:  # a closing brace
+                split = pop()
+                if split < 0:
+                    raise TreeError(f'node {i}: an internal node without an "r" child')
+                tag = pop()
+                if tag == -1:
+                    raise TreeError(f'node {i}: an internal node without an "op" label')
+                labels[i] = -tag
+                lefts[i] = split - 1
+                rights[i] = i - 1
+                i += 1
+            elif e == 114 or e == 49:  # the separator
+                if stack[-1] >= 0:
+                    raise TreeError(f'after node {i - 1}: an internal node with a '
+                                    'second "r" child')
+                push(i)
+            elif e > 96:  # an opening
+                push(mark[e])
+            else:  # a label after a child
+                top = -1 if stack[-1] < 0 else -2
+                if stack[top] != -1:
+                    raise TreeError(f'after node {i - 1}: an internal node with a '
+                                    'second "op" label')
+                stack[top] = mark[e]
+    except IndexError:  # the stack is empty: nothing is open
+        raise TreeError(f"the text goes on after the root, node {i - 1}") from None
+    if stack or not i:
         raise TreeError(f"tree JSON ends early at offset {len(text)}")
-    n = (len(labels) + 1) // 2  # a tree of binary nodes has one more leaf than joins
-    # the n vertices are distinct, so they are 0..n-1 unless one reaches n
-    v = seen.find(1, n)
-    if v != -1:
-        m = next(m for m in _PIECE.finditer(text)
-                 if m.lastindex == _LEAF and int(m[_LEAF]) == v)
-        raise TreeError(f"offset {m.start(_LEAF)}: leaf vertex {v} is outside 0..{n - 1}")
-    return DecompTree(bytes(labels), lefts, rights, len(labels) - 1)
+    return DecompTree(bytes(labels), lefts, rights, i - 1)

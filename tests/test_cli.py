@@ -195,16 +195,19 @@ def test_unwritable_stdout_exits_2(data_dir, target, unbuffered):
         fd = os.open(target, os.O_WRONLY)
     else:
         pytest.skip(f"no {target} on this platform")
+    # argparse writes the help itself, and drops a failed write
+    argvs = (["solve", "--tree", str(data_dir / "ex7_tree.json"), "--json"],
+             ["-h"], ["solve", "-h"])
     try:
-        proc = subprocess.run(
-            [sys.executable, "-m", "pairdom", "solve", "--tree",
-             str(data_dir / "ex7_tree.json"), "--json"],
-            stdout=fd, stderr=subprocess.PIPE, text=True, env=env, timeout=60)
+        procs = [subprocess.run([sys.executable, "-m", "pairdom", *argv], stdout=fd,
+                                stderr=subprocess.PIPE, text=True, env=env, timeout=60)
+                 for argv in argvs]
     finally:
         os.close(fd)
-    assert proc.returncode == 2, proc.stderr
-    assert proc.stderr.startswith("error: cannot write standard output: ")
-    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+    for argv, proc in zip(argvs, procs):
+        assert proc.returncode == 2, (argv, proc.stderr)
+        assert proc.stderr.startswith("error: cannot write standard output: "), argv
+        assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
 
 
 def test_solve_json_null_gamma(capsys, data_dir):
@@ -222,6 +225,19 @@ def test_solve_usage_errors(capsys, data_dir):
     assert code == 2
     code, _, _ = run(capsys, "solve", "--graph", "/nonexistent/x.txt")
     assert code == 2
+
+
+def test_non_utf8_input_exits_2(capsys, tmp_path):
+    graph, tree = tmp_path / "g.txt", tmp_path / "t.json"
+    graph.write_bytes(b"1 0\n\xff\n")
+    tree.write_bytes(b'{"leaf": \xff0}')
+    for argv in (["solve", "--graph", str(graph)],
+                 ["check", "--graph", str(graph), "--set", "0"],
+                 ["oracle", "--graph", str(graph)],
+                 ["solve", "--tree", str(tree)]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith(f"error: {argv[2]}: ") and "Traceback" not in err
 
 
 def test_gen_deterministic(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import json
+import re
 import sys
 from array import array
 
@@ -268,6 +270,124 @@ def test_json_rejects_garbage():
                 '{"leaf": %s}' % ("9" * 5000)):  # more digits than int() reads
         with pytest.raises(TreeError):
             dectree.loads(bad)
+
+
+def _reference_loads(text):
+    """The tree of `text` by the format's rules on top of the json module,
+    or None where they refuse it: a reference for small texts (it recurses)."""
+    def pairs(items):  # an object becomes a tuple of its pairs, an array a list
+        keys = [k for k, _ in items]
+        if len(set(keys)) != len(keys):
+            raise ValueError("repeated key")
+        return tuple(items)
+
+    def node(items):
+        if type(items) is not tuple:
+            raise ValueError("not an object")
+        keys, obj = [k for k, _ in items], dict(items)
+        if keys == ["leaf"]:
+            if type(obj["leaf"]) is not int:
+                raise ValueError("leaf vertex is not an integer")
+            return dectree.leaf(obj["leaf"])
+        if (sorted(keys) != ["l", "op", "r"] or keys.index("l") > keys.index("r")
+                or obj["op"] not in ("T", "F", "A")):
+            raise ValueError("not a T/F/A node with l before r")
+        return (obj["op"], node(obj["l"]), node(obj["r"]))
+
+    def post_order(nd, out):
+        if nd[0] == "leaf":
+            out.append(nd)
+        else:
+            post_order(nd[1], out)
+            left = len(out) - 1
+            post_order(nd[2], out)
+            out.append((nd[0], left, len(out) - 1))
+        return out
+
+    try:
+        root = json.loads(text, object_pairs_hook=pairs)
+        nodes = post_order(node(root), [])
+    except (ValueError, TypeError, KeyError, AttributeError):
+        return None
+    leaves = sorted(nd[1] for nd in nodes if nd[0] == "leaf")
+    if leaves != list(range(len(leaves))) or "\\" in text:  # no string escapes
+        return None
+    return from_nodes(nodes, len(nodes) - 1)
+
+
+# what a mutant deletes, duplicates or inserts; "0" stands for any digit
+MUTATION_PIECES = ("{", "}", ",", '"r":', "0", " ")
+
+
+def _mutate(text, rng):
+    piece = rng.choice(MUTATION_PIECES)
+    how = rng.choice(("delete", "duplicate", "insert"))
+    if how == "insert":
+        at = rng.randrange(len(text) + 1)
+        return text[:at] + (str(rng.randrange(10)) if piece == "0" else piece) + text[at:]
+    pattern = "[0-9]" if piece == "0" else re.escape(piece)
+    spots = [m.span() for m in re.finditer(pattern, text)]
+    if not spots:
+        return text
+    start, end = rng.choice(spots)
+    return text[:start] + (text[start:end] * 2 if how == "duplicate" else "") + text[end:]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 12), st.integers(0, 10_000), st.randoms(use_true_random=False))
+def test_loads_refuses_or_round_trips_every_mutant(n, seed, rng):
+    text = _render(dectree.generate(n, seed), rng)
+    for _ in range(8):
+        mutant = _mutate(text, rng)
+        expected = _reference_loads(mutant)
+        try:
+            t = dectree.loads(mutant)
+        except TreeError:
+            assert expected is None, mutant
+            continue
+        assert dectree.validate(t) == []
+        assert dectree.loads(dectree.dumps(t)) == t
+        assert t == expected, mutant
+
+
+def test_loads_refuses_malformed_nodes():
+    leaf, pair = '{"leaf": 0}', '"l": {"leaf": 0}, "r": {"leaf": 1}'
+    grammar = ('{"le af": 0}',
+               '{"leaf": 1 2}',
+               '{"o p": "T", %s}' % pair,
+               '{"op": " T", %s}' % pair,
+               '{"op": "T", "l": {"leaf": 0} {"leaf": 1}}',  # no "r"
+               '{"op": "T", "l": , "r": {"leaf": 0}}')       # no left child
+    structure = ('{"op": "T", "l": {"leaf": 0}}',                          # one child
+                 '{"l": {"leaf": 0}, "op": "T"}',
+                 '{"op": "T", %s, "r": {"leaf": 2}}' % pair,                # three children
+                 '{"op": "T", "l": {"leaf": 0}}, "r": {"leaf": 1}}',        # a "}" mid-text
+                 '{%s}' % pair,                                             # no label
+                 '{"op": "T", "l": {"leaf": 0}, "op": "F", "r": {"leaf": 1}}',  # two labels
+                 '{"l": {"leaf": 0}, "op": "T", "r": {"leaf": 1}, "op": "T"}',
+                 leaf + ', "r": {"leaf": 1}',                               # two roots
+                 leaf + ', "op": "T"')
+    vertices = ('{"leaf": 4294967296}', '{"leaf": 1}', '{"leaf": -1}',
+                '{"op": "T", "l": {"leaf": 0}, "r": {"leaf": 0}}')
+    for texts, names in ((grammar, "offset"), (structure, "node"), (vertices, "vertex")):
+        for text in texts:
+            for data in (text, text.encode()):
+                with pytest.raises(TreeError, match=names):
+                    dectree.loads(data)
+    # whitespace inside a number: the text without it is a valid tree
+    text = dectree.dumps(dectree.generate(12, seed=1))
+    assert '"leaf": 11}' in text
+    dectree.loads(text)
+    with pytest.raises(TreeError, match="offset"):
+        dectree.loads(text.replace('"leaf": 11}', '"leaf": 1 1}'))
+
+
+def test_loads_reads_text_and_bytes_alike():
+    t = dectree.generate(300, seed=4)
+    text = dectree.dumps(t)
+    assert dectree.loads(text) == dectree.loads(text.encode()) == t
+    assert dectree.loads(f'{{"l": {{"leaf": 1}}, "r": {{"leaf": 0}}, "op": "A"}}') == \
+        from_nodes((dectree.leaf(1), dectree.leaf(0), ("A", 0, 1)), 2)
 
 
 def test_deep_tree_no_recursion_limit():
