@@ -5,7 +5,9 @@ Subcommands: solve, gen, check, bench, oracle. Exit codes: 0 success,
 4 oracle size guard exceeded, 5 internal error (a self-check of
 recognition, the solver or the witness failed), 6 out of memory.
 Standard output that cannot be written (a full disk, a closed pipe) is a
-usage error, exit 2. PDOM_SEED provides the default seed.
+usage error, exit 2, and so is a graph without vertices given to
+`solve --graph`, as `gen --n 0` refuses an empty tree. PDOM_SEED provides
+the default seed.
 
 `run` is the process entry point of the `pairdom` script and of
 `python -m pairdom`; `main(argv)` returns the exit code instead, for callers
@@ -139,6 +141,8 @@ def cmd_solve(args) -> int:
 
         g = _load_graph(args.graph)
         instance = args.graph
+        if g.n == 0:
+            raise CliError(f"{args.graph}: graph has no vertices")
         try:
             tree = recognition.decompose(g)
         except recognition.NotDistanceHereditary as exc:

@@ -13,7 +13,11 @@ A state is the plain tuple (min, alpha, beta, ts_size, gamma_p, mty_ts,
 mty_pr); MIN .. MTY_PR name its indices. The three combine functions are
 the one definition of the rules: each unpacks its children's states and
 returns a new tuple, which `_check` tests against the curve's invariants.
-`solve` runs them in one forward pass over the tree's columns, and all
+`solve` runs them in one forward pass over the tree's columns. Equal
+combine inputs (label, left state, right state) share one result: a memo
+of at most MEMO_LIMIT entries per call, cleared when full, hands a node
+the state already built for equal inputs, so an input the memo holds is
+not combined or checked again, and equal states are one object. All
 leaves share one state.
 """
 
@@ -34,6 +38,11 @@ INF = math.inf
 FIELDS = ("min", "alpha", "beta", "ts_size", "gamma_p", "mty_ts", "mty_pr")
 MIN, ALPHA, BETA, TS_SIZE, GAMMA_P, MTY_TS, MTY_PR = range(7)
 NodeState = tuple  # (min, alpha, beta, ts_size, gamma_p, mty_ts, mty_pr)
+
+# Entries of solve's memo before it is cleared. Benchmark trees need at most
+# about 2100; on trees whose states are all distinct (path and clique
+# caterpillars) the bound keeps the memo from holding a key per node.
+MEMO_LIMIT = 4096
 
 
 class DpError(RuntimeError):
@@ -172,11 +181,28 @@ def solve(t: DecompTree, want_witness: bool = False) -> SolveResult:
     combine = _COMBINE
     # all leaves share one state; states are tuples, so nothing mutates it
     shared_leaf = leaf_state()
+    # (label, left state, right state) -> the state combined from them
+    memo: dict = {}
+    lookup = memo.get
+    room = MEMO_LIMIT  # entries the memo takes before it is cleared
     for tag, left, right in zip(t.labels, t.left, t.right):
         if tag == leaf_tag:
             append(shared_leaf)
-        else:
-            append(combine[tag](states[left], states[right]))
+            continue
+        key = (tag, states[left], states[right])
+        s = lookup(key)
+        if s is None:
+            try:
+                s = combine[tag](key[1], key[2])
+            except DpError as exc:
+                # the list's length is this node's id
+                raise DpError(f"node {len(states)}: {exc}") from exc
+            if not room:
+                memo.clear()
+                room = MEMO_LIMIT
+            room -= 1
+            memo[key] = s
+        append(s)
     gamma_p = states[t.root][GAMMA_P]
     witness = None
     if want_witness and gamma_p != INF:

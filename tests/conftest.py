@@ -3,10 +3,14 @@ from pathlib import Path
 
 import pytest
 
-from pairdom import dectree
+from pairdom import dectree, dp
 from pairdom.graph import build_graph
 
 DATA = Path(__file__).parent / "data"
+
+# T, F, A weights for dectree.generate: attachment-heavy, false-twin-heavy,
+# true-twin-heavy, no true twins, no false twins
+LABEL_MIXES = [(1, 1, 4), (1, 3, 1), (3, 1, 1), (0, 1, 1), (1, 0, 1)]
 
 # The 7-vertex worked example. The 1-based vertex names v1..v7 of the usual
 # presentation map to 0-based ids 0..6 throughout.
@@ -68,6 +72,45 @@ def leaf_vertex(t, node):
 def node_state(min, alpha, beta, ts_size, gamma_p, mty_ts, mty_pr):
     """A solver state, the plain tuple `dp` keeps, from its named fields."""
     return (min, alpha, beta, ts_size, gamma_p, mty_ts, mty_pr)
+
+
+_COMBINE = {
+    dectree.TRUE_TWIN_TAG: dp.combine_true_twin,
+    dectree.FALSE_TWIN_TAG: dp.combine_false_twin,
+    dectree.ATTACH_TAG: dp.combine_attach,
+}
+
+
+def reference_states(t):
+    """Per-node solver states from a plain loop that combines every internal
+    node from its children's states, with no memo."""
+    states = []
+    for tag, left, right in zip(t.labels, t.left, t.right):
+        if tag == dectree.LEAF_TAG:
+            states.append(dp.leaf_state())
+        else:
+            states.append(_COMBINE[tag](states[left], states[right]))
+    return states
+
+
+def caterpillar(n, shape):
+    """A tree of n leaves joined one at a time onto a spine, in post-order.
+    "star" is A(spine, v), K_{1,n-1}, and "clique" is T(spine, v), K_n, with
+    the spine on the left; "path" is A(v, spine), P_n, with the spine on the
+    right, so all its leaves come first. Each state differs from its
+    child's on a path or a clique; a star's states take at most two values."""
+    if shape == "path":
+        nodes = [dectree.leaf(v) for v in range(n)]
+        spine = n - 1
+        for v in range(n - 2, -1, -1):
+            nodes.append(("A", v, spine))
+            spine = len(nodes) - 1
+    else:
+        label = {"star": "A", "clique": "T"}[shape]
+        nodes = [dectree.leaf(0)]
+        for v in range(1, n):
+            nodes += [dectree.leaf(v), (label, len(nodes) - 1, len(nodes))]
+    return dectree.from_nodes(nodes, len(nodes) - 1)
 
 
 def induced_subgraph(g, vertices):

@@ -227,6 +227,15 @@ def test_solve_usage_errors(capsys, data_dir):
     assert code == 2
 
 
+@pytest.mark.parametrize("flags", [[], ["--json"], ["--witness", "--json"]])
+def test_solve_empty_graph_exits_2(capsys, tmp_path, flags):
+    # refused as gen --n 0 refuses an empty tree, not left to recognition
+    graph = tmp_path / "g.txt"
+    graph.write_text("0 0\n")
+    code, out, err = run(capsys, "solve", "--graph", str(graph), *flags)
+    assert (code, out, err) == (2, "", f"error: {graph}: graph has no vertices\n")
+
+
 def test_non_utf8_input_exits_2(capsys, tmp_path):
     graph, tree = tmp_path / "g.txt", tmp_path / "t.json"
     graph.write_bytes(b"1 0\n\xff\n")

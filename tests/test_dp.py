@@ -1,10 +1,13 @@
 import math
+import re
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import children, is_leaf, label, node_state
-from pairdom import dectree, dp
+from conftest import (LABEL_MIXES, caterpillar, children, is_leaf, label, node_state,
+                      reference_states)
+from pairdom import cli, dectree, dp
 from pairdom.dp import (
     INF,
     combine_attach,
@@ -165,6 +168,66 @@ def test_solve_shares_one_leaf_state():
     states = solve(t).states
     leaf_states = {id(states[i]) for i in range(len(t.labels)) if is_leaf(t, i)}
     assert leaf_states == {id(leaf_state())}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 80), st.integers(0, 10_000), st.sampled_from(LABEL_MIXES))
+def test_shared_states_equal_the_reference(n, seed, weights):
+    t = dectree.generate(n, seed, weights)
+    assert solve(t).states == reference_states(t)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(1, 300), st.sampled_from(["path", "star", "clique"]))
+def test_shared_states_equal_the_reference_on_caterpillars(n, shape):
+    t = caterpillar(n, shape)
+    assert solve(t).states == reference_states(t)
+
+
+@pytest.mark.parametrize("shape", ["path", "clique"])
+def test_shared_states_when_the_memo_is_cleared(shape):
+    # every state of these caterpillars is distinct, so the memo fills and
+    # is cleared twice over
+    t = caterpillar(10_000, shape)
+    ref = reference_states(t)
+    inputs = {(tag, ref[left], ref[right])
+              for tag, left, right in zip(t.labels, t.left, t.right)
+              if tag != dectree.LEAF_TAG}
+    assert len(inputs) > 2 * dp.MEMO_LIMIT
+    assert solve(t).states == ref
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(2, 200), st.integers(0, 10_000), st.sampled_from(LABEL_MIXES),
+       st.integers(1, 8))
+def test_shared_states_with_a_small_memo(n, seed, weights, limit):
+    # a memo cleared every few entries still gives every node its state
+    t = dectree.generate(n, seed, weights)
+    with mock.patch.object(dp, "MEMO_LIMIT", limit):
+        assert solve(t).states == reference_states(t)
+
+
+def test_star_states_are_shared():
+    t = caterpillar(10_000, "star")
+    states = solve(t).states
+    assert len({id(s) for s in states}) <= 3
+    assert states == reference_states(t)
+
+
+def test_dp_error_names_the_node(monkeypatch, capsys, data_dir):
+    bad = node_state(min=0, alpha=2, beta=1, ts_size=3, gamma_p=INF,
+                     mty_ts=False, mty_pr=False)
+    monkeypatch.setitem(dp._COMBINE, dectree.ATTACH_TAG, lambda sl, sr: dp._check(bad))
+    path = data_dir / "ex7_tree.json"
+    t = dectree.loads(path.read_bytes())
+    node = t.labels.index(dectree.ATTACH_TAG)
+    message = f"node {node}: alpha/beta/ts out of order: NodeState(min=0, alpha=2, "
+    with pytest.raises(dp.DpError, match=re.escape(message)):
+        solve(t)
+    assert cli.main(["solve", "--tree", str(path), "--json"]) == cli.EXIT_INTERNAL
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith(f"error: internal error: {message}")
 
 
 def test_solve_deterministic():

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from conftest import cycle_graph, induced_subgraph
+from conftest import LABEL_MIXES, cycle_graph, induced_subgraph
 from pairdom import dectree, dp
 from pairdom.graph import build_graph
 from pairdom.recognition import (
@@ -76,9 +76,8 @@ def test_decompose_many_components_round_trips_through_json():
     # three isolated vertices; K2 + P3 + isolated vertex + K2; and 30
     # connected DH graphs of 2-40 vertices, with all their ids shuffled
     rng = random.Random(7)
-    mixes = [(1, 1, 4), (1, 3, 1), (3, 1, 1), (0, 1, 1), (1, 0, 1)]
     parts = [_relabeled(dectree.expand(dectree.generate(rng.randint(2, 40), s,
-                                                        mixes[s % 5]))[0], s)
+                                                        LABEL_MIXES[s % 5]))[0], s)
              for s in range(30)]
     edges, n = [], 0
     for part in parts:

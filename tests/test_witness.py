@@ -3,14 +3,13 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import LABEL_MIXES
 from pairdom import dectree, dp
 from pairdom.dectree import ATTACH_TAG, FALSE_TWIN_TAG, LEAF_TAG, from_nodes, leaf
 from pairdom.graph import is_paired_dominating
 from pairdom.oracle import oracle_gamma_p
 from pairdom.witness import (DOM, HIT, WitnessError, _certificate, _check, _split,
                              reconstruct_witness)
-
-LABEL_MIXES = [(1, 1, 4), (1, 3, 1), (3, 1, 1), (0, 1, 1), (1, 0, 1)]
 
 
 def test_ex7_witness(ex7_tree, ex7_graph):
