@@ -1,28 +1,21 @@
 """Decomposition trees: structure, expansion into a graph, and generation.
 
-A tree is three columns indexed by node id. `labels` holds one byte per
-node: "L" for a leaf, else the node's label, one of "T" (true twin), "F"
-(false twin) or "A" (attachment, left child keeps the twin set). `left`
-and `right` are `array('i')` columns of child ids; a leaf keeps its vertex
-in `left` and 0 in `right`. So a node costs 9 bytes. The nodes are in
-post-order: every subtree is a contiguous block of ids that ends at its
-root, with the left subtree's block right before the right subtree's. So
-an internal node i has right child i-1 and left child i-1-(size of the
-right subtree), the root is the last node, and every node but the root has
-exactly one parent. `validate` checks this layout, so each walk over a
-tree, or over one subtree, is one loop over the zipped columns, children
-first or parents first, and no tree, however deep, touches the call stack
-(`dumps`, which writes in pre-order, keeps its own stack). The functions
-that create nodes in another order, `generate` and recognition's replay,
-lay them out with `renumber`. The JSON reader `loads` checks the text in
-whole-text passes that C does and then emits the nodes in this order as
-they close, one Python step per node event; it refuses a node without two
-children or without exactly one label and leaves that do not carry the
-vertices 0..n-1, so what it returns is valid without a `validate` pass, and
-tree files of any nesting depth load.
-
-`DecompTree.nodes` shows the same tree as tuples, ("leaf", vertex) or
-(label, left, right), built on each access; `from_nodes` is its inverse.
+A tree is two columns in post-order: `labels`, one byte per node ("L" for
+a leaf, else "T" true twin, "F" false twin or "A" attachment, whose left
+child keeps the twin set), and `vertices`, an `array('i')` of the leaves'
+vertices. Each subtree is a block of ids ending at its root, the left
+block right before the right, so an internal node i has right child i-1
+and left child the root of the subtree ending before that, and the root
+is the last node. Each walk is one loop, so no depth touches the call
+stack: children-first walks keep the finished subtrees on a stack or read
+the right child as i-1, and parents-first walks (`dumps`, the witness,
+the `nodes` view) take child ids from one `children` pass. `generate` and
+recognition's replay lay out their nodes with `renumber`. `loads` checks
+the JSON text in whole-text passes that C does, then emits the nodes as
+they close, one Python step per node event, and refuses what is not a
+tree on the leaves 0..n-1, so its trees are valid without `validate`.
+`DecompTree.nodes` shows the tree as tuples, ("leaf", vertex) or (label,
+left, right); `from_nodes`, its inverse, is where explicit child ids arrive.
 """
 
 from __future__ import annotations
@@ -33,7 +26,8 @@ import random
 import re
 import sys
 from array import array
-from typing import Iterable, Iterator, Optional, Sequence
+from itertools import accumulate, islice
+from typing import Iterable, Iterator, Sequence
 
 from .graph import Graph, build_graph
 from .record import Record
@@ -47,6 +41,9 @@ LEAF_TAG, TRUE_TWIN_TAG, FALSE_TWIN_TAG, ATTACH_TAG = b"LTFA"
 LABEL_TAGS = (TRUE_TWIN_TAG, FALSE_TWIN_TAG, ATTACH_TAG)
 _TAG = {LEAF: LEAF_TAG, TRUE_TWIN: TRUE_TWIN_TAG, FALSE_TWIN: FALSE_TWIN_TAG,
         ATTACH: ATTACH_TAG}
+# per label byte, the change in the number of finished subtrees
+_STEP = [-1] * 256
+_STEP[LEAF_TAG] = 1
 
 
 class TreeError(ValueError):
@@ -54,27 +51,31 @@ class TreeError(ValueError):
 
 
 class DecompTree(Record):
-    __slots__ = ("labels", "left", "right", "root")
+    __slots__ = ("labels", "vertices")
 
-    def __init__(self, labels: bytes, left: array, right: array, root: int):
+    def __init__(self, labels: bytes, vertices: array):
         self.labels = labels
-        self.left = left
-        self.right = right
-        self.root = root
+        self.vertices = vertices
 
     def __hash__(self) -> int:
-        return hash((self.labels, self.left.tobytes(), self.right.tobytes(), self.root))
+        return hash((self.labels, self.vertices.tobytes()))
+
+    @property
+    def root(self) -> int:
+        return len(self.labels) - 1
 
     @property
     def n_leaves(self) -> int:
-        return (len(self.labels) + 1) // 2
+        return len(self.vertices)
 
     @property
     def nodes(self) -> tuple[tuple, ...]:
-        """The nodes as tuples, ("leaf", vertex) or (label, left, right):
-        a read-only view built on each access."""
-        return tuple((LEAF, lt) if tag == LEAF_TAG else (chr(tag), lt, rt)
-                     for tag, lt, rt in zip(self.labels, self.left, self.right))
+        """The nodes of a valid tree as tuples, ("leaf", vertex) or (label,
+        left, right): a read-only view built on each access."""
+        lefts, rights = children(self)
+        vertex = iter(self.vertices).__next__
+        return tuple((LEAF, vertex()) if tag == LEAF_TAG else (chr(tag), lt, rt)
+                     for tag, lt, rt in zip(self.labels, lefts, rights))
 
 
 def leaf(vertex: int) -> tuple:
@@ -83,75 +84,62 @@ def leaf(vertex: int) -> tuple:
 
 def from_nodes(nodes: Iterable[tuple], root: int) -> DecompTree:
     """The tree whose node i is the i-th of `nodes`, each ("leaf", vertex)
-    or (label, left, right): the inverse of `DecompTree.nodes`. A node the
-    columns cannot hold raises TreeError; `validate` checks the rest."""
-    labels = bytearray()
-    left, right = array("i"), array("i")
+    or (label, left, right): the inverse of `DecompTree.nodes`. TreeError
+    names the node unless they are a valid tree in post-order, rooted at
+    `root`, with the child ids that order implies."""
+    nodes = tuple(nodes)
+    labels, vertices = bytearray(), array("i")
     for i, nd in enumerate(nodes):
         tag = _TAG.get(nd[0])
         if tag is None or len(nd) != (2 if tag == LEAF_TAG else 3):
             raise TreeError(f"node {i}: {nd!r} is neither a leaf nor a T/F/A node "
                             "with two children")
-        try:
-            left.append(nd[1])
-            right.append(0 if tag == LEAF_TAG else nd[2])
-        except OverflowError:
-            raise TreeError(f"node {i}: {nd!r} has an id outside the columns' range") from None
+        if tag == LEAF_TAG:
+            try:
+                vertices.append(nd[1])
+            except OverflowError:
+                raise TreeError(f"node {i}: {nd!r} has a vertex outside the column's "
+                                "range") from None
         labels.append(tag)
-    return DecompTree(bytes(labels), left, right, root)
-
-
-_NO_ROOT = object()
+    if root != len(nodes) - 1:
+        raise TreeError(f"root {root} is not the last of {len(nodes)} node(s)")
+    t = DecompTree(bytes(labels), vertices)
+    require_valid(t)
+    for i, (nd, implied) in enumerate(zip(nodes, t.nodes)):
+        if tuple(nd) != implied:
+            raise TreeError(f"node {i}: children {nd[1:]} are not the roots of the "
+                            f"two subtrees ending right before it, {implied[1:]}")
+    return t
 
 
 def validate(t: DecompTree) -> list[str]:
-    """Check the structural invariants; empty list means ok.
-
-    The node array must be in post-order: each internal node's children are
-    the roots of the two subtrees that end right before it, left then right;
-    the root is the last node and its subtree holds every node; the leaves
-    carry the vertices 0..n-1. Then every subtree is a contiguous block
-    ending at its root, and each node but the root has exactly one parent.
-    One forward pass checks it all, keeping the roots of the finished
-    subtrees on a stack. The structure past the first misplaced child is
-    not read, so the report stops there.
-    """
-    n_nodes = len(t.labels)
-    if len(t.left) != n_nodes or len(t.right) != n_nodes:
-        return [f"the columns hold {n_nodes}, {len(t.left)} and {len(t.right)} "
-                "entries, not one per node"]
-    if n_nodes == 0 or t.root != n_nodes - 1:
-        return [f"root {t.root} is not the last of {n_nodes} node(s)"]
+    """Check the structural invariants; empty list means ok. The labels
+    are L, T, F or A; n leaves have n vertices, 0..n-1, and 2n-1 nodes; and
+    each internal node finds two finished subtrees before it. Passes of C
+    check the labels, one loop the vertices; `children` names a bad node."""
+    labels, vertices = t.labels, t.vertices
+    stray = labels.translate(None, b"LTFA")
+    if stray:
+        i = labels.index(stray[0])
+        return [f"node {i}: label {chr(stray[0])!r} is neither L (leaf) nor T, F or A"]
     violations: list[str] = []
-    n = (n_nodes + 1) // 2  # the leaf count of a well-formed tree
+    n_leaves, n = labels.count(LEAF_TAG), len(vertices)
+    if n_leaves != n:
+        violations.append(f"{n_leaves} leaves but {n} leaf vertices")
+    if len(labels) != 2 * n_leaves - 1 or min(accumulate(map(_STEP.__getitem__, labels))) < 1:
+        try:
+            children(t)  # which raises, naming the node at fault
+        except TreeError as exc:
+            violations.append(str(exc))
     seen = bytearray(n)
-    # roots of the finished subtrees in node order, after two placeholders
-    # that no child id matches
-    roots: list = [_NO_ROOT, _NO_ROOT]
-    push, pop = roots.append, roots.pop
-    for i, (tag, left, right) in enumerate(zip(t.labels, t.left, t.right)):
-        if tag == LEAF_TAG:
-            if not 0 <= left < n or seen[left]:
-                violations.append(f"node {i}: leaf vertex {left} is repeated or outside "
-                                  f"0..{n - 1}")
-            else:
-                seen[left] = 1
-            push(i)
-            continue
-        if tag not in LABEL_TAGS:
-            violations.append(f"node {i}: label {chr(tag)!r} is neither L (leaf) nor "
-                              "T, F or A")
-            return violations
-        if roots[-1] != right or roots[-2] != left:
-            last_two = [r for r in roots[-2:] if r is not _NO_ROOT]
-            violations.append(f"node {i}: children ({left}, {right}) are not the roots "
-                              f"of the two subtrees ending right before it, {last_two}")
-            return violations
-        pop()
-        roots[-1] = i
-    if len(roots) > 3:
-        violations.append(f"the subtrees rooted at nodes {roots[2:-1]} are outside the "
-                          "root's subtree")
+    for k, v in enumerate(vertices):
+        if not 0 <= v < n or seen[v]:
+            leaves = (i for i, tag in enumerate(labels) if tag == LEAF_TAG)
+            node = next(islice(leaves, k, None), "?")  # the k-th leaf
+            violations.append(f"node {node}: leaf vertex {v} is repeated or outside "
+                              f"0..{n - 1}")
+            break
+        seen[v] = 1
     return violations
 
 
@@ -161,34 +149,52 @@ def require_valid(t: DecompTree) -> None:
         raise TreeError("; ".join(violations))
 
 
-def twin_sets(t: DecompTree, node: Optional[int] = None) -> Iterator[tuple]:
-    """The twin-set recurrence of the expansion over the subtree of `node`
-    (the whole tree by default), children first.
+def children(t: DecompTree) -> tuple[array, array]:
+    """The columns of left and right child ids, 0 for a leaf, from one pass
+    with the roots of the finished subtrees on a stack. TreeError names the
+    node where the labels are not one tree in post-order."""
+    n_nodes = len(t.labels)
+    lefts, rights = array("i", bytes(4 * n_nodes)), array("i", bytes(4 * n_nodes))
+    roots: list[int] = []
+    push, pop = roots.append, roots.pop
+    try:
+        for i, tag in enumerate(t.labels):
+            if tag == LEAF_TAG:
+                push(i)
+            else:
+                rights[i] = pop()
+                lefts[i] = roots[-1]
+                roots[-1] = i
+    except IndexError:
+        raise TreeError(f"node {i}: a {chr(tag)} node without two finished subtrees "
+                        "before it") from None
+    if len(roots) != 1:
+        raise TreeError(f"the subtrees rooted at nodes {roots[:-1]} are outside the "
+                        "root's subtree" if roots else "the tree has no nodes")
+    return lefts, rights
 
-    Yields (i, tag, ts_l, ts_r, ts) for each node i of the subtree: its
-    label column byte, its children's twin lists (None for a leaf) and the
-    list that becomes its own. A leaf's is [vertex], an "A" node keeps its
-    left child's, and a "T" or "F" node appends the shorter child list to
-    the longer (ts) once the item is used, so a chain of joins costs linear
-    time and ts is whole once the walk has moved past it. The walk reads
-    only the block of nodes ending at `node`. `t` must be valid.
+
+def twin_sets(t: DecompTree) -> Iterator[tuple]:
+    """The twin-set recurrence of the expansion, children first.
+
+    Yields (i, tag, ts_l, ts_r, ts) for each node i: its label column byte,
+    its children's twin lists (None for a leaf) and the list that becomes
+    its own. A leaf's is [vertex], an "A" node keeps its left child's, and
+    a "T" or "F" node appends the shorter child list to the longer (ts)
+    once the item is used, so a chain of joins costs linear time and ts is
+    whole once the walk has moved past it. `t` must be valid.
     """
-    labels, lefts = t.labels, t.left
-    last = t.root if node is None else node
-    first = last
-    while labels[first] != LEAF_TAG:  # a subtree's first node is its leftmost leaf
-        first = lefts[first]
-    twin: list = [None] * (last + 1 - first)
-    end = last + 1
-    for i, tag, left, right in zip(range(first, end), labels[first:end],
-                                   lefts[first:end], t.right[first:end]):
+    stack: list[list] = []  # the lists of the finished subtrees, the right one on top
+    vertex = iter(t.vertices).__next__
+    for i, tag in enumerate(t.labels):
         if tag == LEAF_TAG:
-            ts = twin[i - first] = [left]
+            ts = [vertex()]
+            stack.append(ts)
             yield i, tag, None, None, ts
             continue
-        ts_l, ts_r = twin[left - first], twin[right - first]
-        twin[left - first] = twin[right - first] = None  # each node has one parent
-        ts = twin[i - first] = ts_l if tag == ATTACH_TAG or len(ts_l) >= len(ts_r) else ts_r
+        ts_r = stack.pop()
+        ts_l = stack[-1]
+        ts = stack[-1] = ts_l if tag == ATTACH_TAG or len(ts_l) >= len(ts_r) else ts_r
         yield i, tag, ts_l, ts_r, ts
         if tag != ATTACH_TAG:
             ts.extend(ts_r if ts is ts_l else ts_l)
@@ -210,23 +216,13 @@ def expand(t: DecompTree) -> tuple[Graph, tuple[int, ...]]:
 
 def edge_count(t: DecompTree, states: Sequence[tuple]) -> int:
     """Edge count of the tree's expansion without building it: each T or A
-    node adds a biclique between its children's twin sets, whose sizes the
-    solver's states (`dp.solve(t).states`) carry."""
+    node i adds a biclique between its children's twin sets, whose sizes
+    the states (`dp.solve(t).states`) of i and of its right child i-1 give."""
     from .dp import TS_SIZE
 
-    return sum(states[left][TS_SIZE] * states[right][TS_SIZE]
-               for tag, left, right in zip(t.labels, t.left, t.right)
+    return sum((s[TS_SIZE] - r[TS_SIZE] if tag == TRUE_TWIN_TAG else s[TS_SIZE]) * r[TS_SIZE]
+               for tag, s, r in zip(islice(t.labels, 1, None), islice(states, 1, None), states)
                if tag == TRUE_TWIN_TAG or tag == ATTACH_TAG)
-
-
-def twin_set(t: DecompTree, node: int) -> tuple[int, ...]:
-    """Twin set of the subtree rooted at `node` of a valid tree; reads only
-    that subtree's nodes."""
-    if not (0 <= node < len(t.labels)):
-        raise TreeError(f"unknown node id {node}")
-    for *_, ts in twin_sets(t, node):
-        pass
-    return tuple(sorted(ts))
 
 
 def generate(
@@ -278,31 +274,24 @@ def generate(
 
 def renumber(labels: Sequence[int], lefts: Sequence[int], rights: Sequence[int],
              root: int) -> DecompTree:
-    """The tree below `root` of the columns, whose nodes come in any order,
-    laid out in post-order, which keeps children near parents for the
-    solver's cache."""
-    # popping node, right, left and reversing gives left, right, node
-    order = array("i")
+    """The tree below `root` of columns whose nodes come in any order, a
+    leaf keeping its vertex in `lefts`, laid out in post-order."""
+    # popping node, right, left visits the nodes in reverse post-order
+    out = bytearray()
+    vertices = array("i")
     stack = [root]
     while stack:
         old = stack.pop()
-        order.append(old)
-        if labels[old] != LEAF_TAG:
+        tag = labels[old]
+        out.append(tag)
+        if tag == LEAF_TAG:
+            vertices.append(lefts[old])
+        else:
             stack.append(lefts[old])
             stack.append(rights[old])
-    order.reverse()
-    remap = array("i", bytes(4 * len(labels)))
-    new_left, new_right = array("i"), array("i")
-    for new, old in enumerate(order):
-        remap[old] = new
-        if labels[old] == LEAF_TAG:
-            new_left.append(lefts[old])
-            new_right.append(0)
-        else:
-            new_left.append(remap[lefts[old]])
-            new_right.append(remap[rights[old]])
-    return DecompTree(bytes(map(labels.__getitem__, order)), new_left, new_right,
-                      len(order) - 1)
+    out.reverse()
+    vertices.reverse()
+    return DecompTree(bytes(out), vertices)
 
 
 # --- JSON tree file format -------------------------------------------------
@@ -316,12 +305,14 @@ def dumps(t: DecompTree) -> str:
 
     The text is the tree in pre-order, so one walk with an explicit stack
     writes it: a node pushes its closing brace, its right child, the
-    separator before it and its left child. The pieces are joined into a
-    chunk once 2**16 have gathered, which keeps the memory near the text's
-    size.
+    separator before it and its left child. It meets the leaves in the
+    order of `vertices`. The pieces are joined into a chunk once 2**16
+    have gathered, which keeps the memory near the text's size.
     """
     require_valid(t)
-    labels, lefts, rights = t.labels, t.left, t.right
+    labels = t.labels
+    lefts, rights = children(t)
+    vertex = iter(t.vertices).__next__
     opening = {tag: '{"op": "%c", "l": ' % tag for tag in LABEL_TAGS}
     chunks: list[str] = []
     out: list[str] = []
@@ -333,7 +324,7 @@ def dumps(t: DecompTree) -> str:
         if x.__class__ is str:
             emit(x)
         elif labels[x] == LEAF_TAG:
-            emit('{"leaf": %d}' % lefts[x])
+            emit('{"leaf": %d}' % vertex())
             if len(out) >= 1 << 16:
                 chunks.append("".join(out))
                 out.clear()
@@ -387,8 +378,8 @@ _FOLDS = ((b"{f}r", b"1"),  # a leaf, then the separator: a left child
           (b"{f}}", b"2"),  # a leaf, then its parent's closing brace
           (b"{f}", b"0"),   # a leaf, then a late label
           (b"{T", b"t"), (b"{F", b"f"), (b"{A", b"a"))
-# The stack entry of an open node before its separator: minus its label,
-# or -1 while it has none. Indexed by the event byte of an opening (lower
+# The stack entry of an open node: minus its label, or -1 while it has
+# none; its separator pushes a 0 above it. Indexed by the event byte of an opening (lower
 # case or "{") or of a late label; the entries are shared int objects, so a
 # deep stack costs one pointer per open node.
 _MARK = [0] * 128
@@ -416,14 +407,12 @@ def loads(text: str | bytes) -> DecompTree:
     Keys may come in any order, except that "l" comes before "r"; other
     keys are rejected, as are string escapes. C does the per-character work
     in whole-text passes: `_SHAPE` checks the piece grammar, `translate`
-    pulls out the leaf vertices and the node events, and `json.loads`
-    reads the vertices. Then one Python step per event fills the columns:
-    each open node keeps its label and, once its separator has come, the
-    node count at that point, one past its left child's id, on a stack. A
-    node joins the columns when it closes, so the nodes come out in
-    post-order by construction and files of any nesting depth load. A
-    grammar error names the text offset, a structure error the node or the
-    leaf vertex. The tree returned is valid without a `validate` pass.
+    pulls out the leaf vertices and the node events, and `json.loads` reads
+    the vertices column. Then one Python step per event fills the labels:
+    each open node keeps its label, and a mark once its separator has come,
+    on a stack, and takes its id when it closes, so the nodes come out in
+    post-order and files of any nesting depth load. A grammar error names
+    the text offset, a structure error the node or the leaf vertex.
     """
     if isinstance(text, str):
         try:
@@ -469,8 +458,6 @@ def loads(text: str | bytes) -> DecompTree:
     for piece, event in _FOLDS:
         events = events.replace(piece, event)
     labels = bytearray([LEAF_TAG]) * n_nodes
-    lefts, rights = array("i", [0]) * n_nodes, array("i", [0]) * n_nodes
-    vertex = iter(vertices).__next__
     mark = _MARK
     stack: list[int] = []
     push, pop = stack.append, stack.pop
@@ -478,7 +465,6 @@ def loads(text: str | bytes) -> DecompTree:
     try:
         for e in events:
             if e < 64:  # "0", "1" or "2": a leaf, then what its fold names
-                lefts[i] = vertex()
                 i += 1
                 if e == 48:
                     continue
@@ -490,14 +476,12 @@ def loads(text: str | bytes) -> DecompTree:
                 if tag == -1:
                     raise TreeError(f'node {i}: an internal node without an "op" label')
                 labels[i] = -tag
-                lefts[i] = split - 1
-                rights[i] = i - 1
                 i += 1
             elif e == 114 or e == 49:  # the separator
                 if stack[-1] >= 0:
                     raise TreeError(f'after node {i - 1}: an internal node with a '
                                     'second "r" child')
-                push(i)
+                push(0)
             elif e > 96:  # an opening
                 push(mark[e])
             else:  # a label after a child
@@ -510,4 +494,4 @@ def loads(text: str | bytes) -> DecompTree:
         raise TreeError(f"the text goes on after the root, node {i - 1}") from None
     if stack or not i:
         raise TreeError(f"tree JSON ends early at offset {len(text)}")
-    return DecompTree(bytes(labels), lefts, rights, i - 1)
+    return DecompTree(bytes(labels), vertices)

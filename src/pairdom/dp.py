@@ -13,12 +13,12 @@ A state is the plain tuple (min, alpha, beta, ts_size, gamma_p, mty_ts,
 mty_pr); MIN .. MTY_PR name its indices. The three combine functions are
 the one definition of the rules: each unpacks its children's states and
 returns a new tuple, which `_check` tests against the curve's invariants.
-`solve` runs them in one forward pass over the tree's columns. Equal
-combine inputs (label, left state, right state) share one result: a memo
-of at most MEMO_LIMIT entries per call, cleared when full, hands a node
-the state already built for equal inputs, so an input the memo holds is
-not combined or checked again, and equal states are one object. All
-leaves share one state.
+`solve` runs them in one forward pass over the tree's labels, with the
+states of the finished subtrees on a stack. Equal combine inputs (label,
+left state, right state) share one result: a memo of at most MEMO_LIMIT
+entries per call, cleared when full, hands a node the state already built
+for equal inputs, which is not combined or checked again. All leaves share
+one state.
 """
 
 from __future__ import annotations
@@ -172,11 +172,14 @@ _COMBINE = {
 
 def solve(t: DecompTree, want_witness: bool = False) -> SolveResult:
     dectree.require_valid(t)
-    # a valid tree lists children before parents, so one forward pass over
-    # the zipped columns solves it; this loop runs a couple of million times
-    # for benchmark-sized trees, so no method calls inside
+    # a valid tree lists children before parents, so one forward pass
+    # solves it; this loop runs a couple of million times for benchmark-sized
+    # trees, so no method calls inside
     states: list[NodeState] = []
     append = states.append
+    # the states of the finished subtrees, the right child's on top
+    stack: list[NodeState] = []
+    push, pop = stack.append, stack.pop
     leaf_tag = dectree.LEAF_TAG
     combine = _COMBINE
     # all leaves share one state; states are tuples, so nothing mutates it
@@ -185,11 +188,12 @@ def solve(t: DecompTree, want_witness: bool = False) -> SolveResult:
     memo: dict = {}
     lookup = memo.get
     room = MEMO_LIMIT  # entries the memo takes before it is cleared
-    for tag, left, right in zip(t.labels, t.left, t.right):
+    for tag in t.labels:
         if tag == leaf_tag:
             append(shared_leaf)
+            push(shared_leaf)
             continue
-        key = (tag, states[left], states[right])
+        key = (tag, stack[-2], pop())
         s = lookup(key)
         if s is None:
             try:
@@ -202,8 +206,9 @@ def solve(t: DecompTree, want_witness: bool = False) -> SolveResult:
                 room = MEMO_LIMIT
             room -= 1
             memo[key] = s
+        stack[-1] = s
         append(s)
-    gamma_p = states[t.root][GAMMA_P]
+    gamma_p = states[-1][GAMMA_P]  # the root is the last node
     witness = None
     if want_witness and gamma_p != INF:
         from .witness import reconstruct_witness

@@ -64,7 +64,7 @@ def oracle_gamma_p(g: Graph) -> float:
     _guard(g.n, MAX_N_GAMMA_P, "oracle_gamma_p")
     verts = range(g.n)
     match = _MatchMemo(g)
-    for size in range(2, g.n + 1, 2):
+    for size in range(0, g.n + 1, 2):  # the empty set dominates a graph without vertices
         for d in combinations(verts, size):
             if is_dominating(g, d, verts) and match(d):
                 return size

@@ -10,7 +10,7 @@ case of `dp` that formed the node's state. The upward loop (children
 first) forms the pairs across T and A bicliques; each node hands its
 exempt vertices and its twin-set vertices not in D up as two lists, the
 shorter appended to the longer. `_check` then verifies the pairs against
-the tree alone in O(n).
+the tree alone in O(n). The child ids come from one `dectree.children` pass.
 """
 
 from __future__ import annotations
@@ -18,7 +18,8 @@ from __future__ import annotations
 import functools
 from typing import Sequence
 
-from .dectree import ATTACH_TAG, FALSE_TWIN_TAG, LEAF_TAG, TRUE_TWIN_TAG, DecompTree
+from .dectree import (ATTACH_TAG, FALSE_TWIN_TAG, LEAF_TAG, TRUE_TWIN_TAG, DecompTree,
+                      children)
 from .dp import GAMMA_P, INF, MTY_PR, NodeState, cond_d2, eval_gamma_k
 
 PDS = -1  # request for a minimum paired-dominating set of the subtree
@@ -110,11 +111,14 @@ def _merge(a: list, b: list) -> list:
     return a
 
 
-def _certificate(t: DecompTree, states: Sequence[NodeState]) -> list[tuple[int, int, int]]:
+def _certificate(t: DecompTree, states: Sequence[NodeState],
+                 kids: tuple) -> list[tuple[int, int, int]]:
     """The pairs (node, u, v) of a minimum paired-dominating set of a valid
     tree's graph: u and v are matched, and `node` is the T or A node whose
-    biclique joins them (u on its left, v on its right)."""
-    labels, lefts, rights = t.labels, t.left, t.right
+    biclique joins them (u on its left, v on its right). `kids` is
+    `dectree.children(t)`."""
+    labels = t.labels
+    lefts, rights = kids
     n_nodes = len(labels)
     if states[t.root][GAMMA_P] == INF:
         raise WitnessError("gamma_p is infinite: no witness exists")
@@ -139,14 +143,16 @@ def _certificate(t: DecompTree, states: Sequence[NodeState]) -> list[tuple[int, 
                                 states[right], gamma[i])
 
     pairs: list[tuple[int, int, int]] = []
-    exempt: list = [None] * n_nodes
-    free: list = [None] * n_nodes  # twin-set vertices not in D
-    for i, (tag, left, right) in enumerate(zip(labels, lefts, rights)):
-        if tag == LEAF_TAG:  # left is the leaf's vertex
-            exempt[i], free[i] = ([left], []) if want[i] == 1 else ([], [left])
+    # (exempt, twin-set vertices not in D) per finished subtree, right on top
+    stack: list[tuple[list, list]] = []
+    push, pop = stack.append, stack.pop
+    vertex = iter(t.vertices).__next__
+    for i, tag in enumerate(labels):
+        if tag == LEAF_TAG:
+            push(([vertex()], []) if want[i] == 1 else ([], [vertex()]))
             continue
-        ex_l, ex_r, free_l, free_r = exempt[left], exempt[right], free[left], free[right]
-        exempt[left] = exempt[right] = free[left] = free[right] = None
+        ex_r, free_r = pop()
+        ex_l, free_l = stack[-1]
         if need[i] & PAIR:
             if not (free_l and free_r):
                 raise WitnessError(f"node {i}: no twin-set vertex is left to add a pair")
@@ -154,20 +160,19 @@ def _certificate(t: DecompTree, states: Sequence[NodeState]) -> list[tuple[int, 
         # h = (kl + kr - k) / 2 cross pairs: 0 at an F node, kr at an A node
         for _ in range((len(ex_l) + len(ex_r) - want[i]) // 2):
             pairs.append((i, ex_l.pop(), ex_r.pop()))
-        if tag == ATTACH_TAG:
-            exempt[i], free[i] = ex_l, free_l
-        else:
-            exempt[i], free[i] = _merge(ex_l, ex_r), _merge(free_l, free_r)
+        if tag != ATTACH_TAG:
+            stack[-1] = (_merge(ex_l, ex_r), _merge(free_l, free_r))
     return pairs
 
 
-def _check(t: DecompTree, pairs: Sequence[tuple[int, int, int]]) -> None:
+def _check(t: DecompTree, pairs: Sequence[tuple[int, int, int]], kids: tuple) -> None:
     """Raise WitnessError unless the pairs (node, u, v) are edges of the
     tree's graph on distinct vertices that dominate it. u and v are adjacent
     when the T or A node's left child's twin set holds u and its right
     child's holds v; v is dominated when it is in D or a D vertex outside a
-    subtree sees a twin set that holds v."""
-    labels, lefts, rights = t.labels, t.left, t.right
+    subtree sees a twin set that holds v. `kids` is `dectree.children(t)`."""
+    labels, vertices = t.labels, t.vertices
+    lefts, rights = kids
     n_nodes = len(labels)
     n = t.n_leaves
     in_d = bytearray(n)
@@ -181,10 +186,12 @@ def _check(t: DecompTree, pairs: Sequence[tuple[int, int, int]]) -> None:
     leaf_of = [0] * n
     first = [0] * n_nodes
     hit = bytearray(n_nodes)
+    vertex = iter(vertices).__next__
     for i, (tag, left, right) in enumerate(zip(labels, lefts, rights)):
         if tag == LEAF_TAG:
-            leaf_of[left] = first[i] = i
-            hit[i] = in_d[left]
+            v = vertex()
+            leaf_of[v] = first[i] = i
+            hit[i] = in_d[v]
         else:
             first[i] = first[left]
             hit[i] = hit[left] or (tag != ATTACH_TAG and hit[right])
@@ -193,11 +200,13 @@ def _check(t: DecompTree, pairs: Sequence[tuple[int, int, int]]) -> None:
     seen = bytearray(n_nodes)
     top = [0] * n_nodes
     top[t.root] = t.root
+    vertex = reversed(vertices).__next__
     for i, tag, left, right in zip(range(t.root, -1, -1), reversed(labels),
                                    reversed(lefts), reversed(rights)):
         if tag == LEAF_TAG:
-            if not (seen[i] or in_d[left]):
-                raise WitnessError(f"vertex {left} is not dominated")
+            v = vertex()
+            if not (seen[i] or in_d[v]):
+                raise WitnessError(f"vertex {v} is not dominated")
             continue
         join = tag != FALSE_TWIN_TAG
         seen[left] = seen[i] or (join and hit[right])
@@ -215,8 +224,9 @@ def _check(t: DecompTree, pairs: Sequence[tuple[int, int, int]]) -> None:
 
 def reconstruct_witness(t: DecompTree, states: Sequence[NodeState]) -> tuple[int, ...]:
     """A minimum paired-dominating set of a valid tree's graph, sorted."""
-    pairs = _certificate(t, states)
-    _check(t, pairs)
+    kids = children(t)
+    pairs = _certificate(t, states, kids)
+    _check(t, pairs, kids)
     gamma_p = states[t.root][GAMMA_P]
     if 2 * len(pairs) != gamma_p:
         raise WitnessError(f"witness size {2 * len(pairs)} != gamma_p {gamma_p}")

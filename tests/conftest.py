@@ -62,11 +62,20 @@ def label(t, node):
 
 
 def children(t, node):
-    return t.left[node], t.right[node]
+    lefts, rights = dectree.children(t)
+    return lefts[node], rights[node]
 
 
 def leaf_vertex(t, node):
-    return t.left[node]
+    return t.nodes[node][1]
+
+
+def twin_set(t, node):
+    """Twin set of the subtree rooted at `node` of a valid tree."""
+    for i, tag, ts_l, ts_r, ts in dectree.twin_sets(t):
+        if i == node:
+            whole = ts if tag in (dectree.LEAF_TAG, dectree.ATTACH_TAG) else ts_l + ts_r
+            return tuple(sorted(whole))
 
 
 def node_state(min, alpha, beta, ts_size, gamma_p, mty_ts, mty_pr):
@@ -85,7 +94,7 @@ def reference_states(t):
     """Per-node solver states from a plain loop that combines every internal
     node from its children's states, with no memo."""
     states = []
-    for tag, left, right in zip(t.labels, t.left, t.right):
+    for tag, left, right in zip(t.labels, *dectree.children(t)):
         if tag == dectree.LEAF_TAG:
             states.append(dp.leaf_state())
         else:

@@ -173,21 +173,23 @@ def test_criterion_8_linear_scaling(report):
     import gc
 
     sizes = (10_000, 100_000, 1_000_000)
-    medians = {}
-    for n in sizes:
-        t = dectree.generate(n, seed=42)
+    trees = {n: dectree.generate(n, seed=42) for n in sizes}
+    for t in trees.values():
         dp.solve(t, want_witness=False)  # warm-up: allocator growth not timed
-        times = []
-        for _ in range(5):
+    # the sizes take turns, so that a drift of the machine's speed reaches
+    # every size alike instead of the one timed while it lasts
+    times = {n: [] for n in sizes}
+    for _ in range(5):
+        for n in sizes:
             gc.collect()
             gc.disable()  # same hygiene as timeit: no collector pauses mid-run
             try:
                 t0 = time.perf_counter()
-                dp.solve(t, want_witness=False)
-                times.append(time.perf_counter() - t0)
+                dp.solve(trees[n], want_witness=False)
+                times[n].append(time.perf_counter() - t0)
             finally:
                 gc.enable()
-        medians[n] = statistics.median(times)
+    medians = {n: statistics.median(times[n]) for n in sizes}
     ratio = medians[1_000_000] / medians[100_000]
     per_leaf_small = medians[10_000] / 10_000
     per_leaf_big = medians[1_000_000] / 1_000_000

@@ -376,6 +376,18 @@ def test_oracle_table(capsys, data_dir):
     assert lines[3] == "gamma_p 2"
 
 
+def test_oracle_and_check_agree_on_a_graph_without_vertices(tmp_path, capsys):
+    graph = tmp_path / "g.txt"
+    graph.write_text("0 0\n")
+    assert run(capsys, "oracle", "--graph", str(graph)) == (0, "0\n", "")
+    assert run(capsys, "check", "--graph", str(graph), "--set", "") == \
+        (0, "ok: paired-dominating\n", "")
+    code, out, _ = run(capsys, "oracle", "--graph", str(graph), "--ts", "")
+    assert code == 0
+    assert out.splitlines()[1] == "min 0 alpha 0 beta 0"
+    assert out.splitlines()[3] == "gamma_p 0"
+
+
 def test_oracle_guard_exit_4(tmp_path, capsys):
     big = tmp_path / "big.txt"
     n = 30

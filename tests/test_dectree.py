@@ -6,8 +6,8 @@ from array import array
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import children, is_leaf
-from pairdom import dectree
+from conftest import LABEL_MIXES, caterpillar, children, is_leaf, twin_set
+from pairdom import dectree, dp
 from pairdom.dectree import DecompTree, TreeError, from_nodes
 
 
@@ -33,11 +33,11 @@ def test_expand_attach_of_two_leaves():
 def test_twin_sets_ex7(ex7_tree):
     t = ex7_tree
     left, right = children(t, t.root)
-    assert dectree.twin_set(t, left) == (0, 1, 2)
-    assert dectree.twin_set(t, right) == (3, 4)
+    assert twin_set(t, left) == (0, 1, 2)
+    assert twin_set(t, right) == (3, 4)
     for i, nd in enumerate(t.nodes):
         if nd[0] == "leaf":
-            assert dectree.twin_set(t, i) == (nd[1],)
+            assert twin_set(t, i) == (nd[1],)
 
 
 def test_decomp_tree_compares_and_hashes_by_fields():
@@ -45,7 +45,7 @@ def test_decomp_tree_compares_and_hashes_by_fields():
     t = from_nodes(nodes, 2)
     same = from_nodes(nodes=(dectree.leaf(0), dectree.leaf(1), ("A", 0, 1)), root=2)
     assert t == same and hash(t) == hash(same) and len({t, same}) == 1
-    assert t != from_nodes(nodes, 1)
+    assert t != from_nodes((dectree.leaf(1), dectree.leaf(0), ("A", 0, 1)), 2)
     assert t != from_nodes((dectree.leaf(0), dectree.leaf(1), ("T", 0, 1)), 2)
 
 
@@ -54,44 +54,41 @@ def test_validate_ok(ex7_tree):
 
 
 def test_validate_duplicate_leaf_vertex():
-    t = from_nodes((dectree.leaf(0), dectree.leaf(0), ("T", 0, 1)), 2)
-    assert dectree.validate(t)
+    with pytest.raises(TreeError, match="node 1: leaf vertex 0 is repeated"):
+        from_nodes((dectree.leaf(0), dectree.leaf(0), ("T", 0, 1)), 2)
+    assert any("node 1" in v for v in dectree.validate(DecompTree(b"LLT", array("i", [0, 0]))))
 
 
 def test_validate_shared_child():
-    t = from_nodes((dectree.leaf(0), ("T", 0, 0)), 1)
-    assert dectree.validate(t)
+    with pytest.raises(TreeError, match="node 1"):
+        from_nodes((dectree.leaf(0), ("T", 0, 0)), 1)
+    assert any("node 1" in v for v in dectree.validate(DecompTree(b"LT", array("i", [0]))))
 
 
 def test_validate_rejects_broken_post_order():
     # node 1 names node 2 as a child, but children must come first
-    child_after_parent = from_nodes(
-        (dectree.leaf(0), ("T", 0, 2), dectree.leaf(1), dectree.leaf(2), ("F", 1, 3)), 4)
-    assert any("node 1" in v for v in dectree.validate(child_after_parent))
+    with pytest.raises(TreeError, match="node 1"):
+        from_nodes((dectree.leaf(0), ("T", 0, 2), dectree.leaf(1), dectree.leaf(2),
+                    ("F", 1, 3)), 4)
     # node 3 comes after the root and has no parent
-    root_not_last = from_nodes(
-        (dectree.leaf(0), dectree.leaf(1), ("T", 0, 1), dectree.leaf(2)), 2)
-    assert any("root 2" in v for v in dectree.validate(root_not_last))
+    with pytest.raises(TreeError, match="root 2"):
+        from_nodes((dectree.leaf(0), dectree.leaf(1), ("T", 0, 1), dectree.leaf(2)), 2)
     # node 0 is a child of node 2 and of node 3: node 3's left child is not
     # the root of a subtree ending right before its right subtree
-    two_parents = from_nodes(
-        (dectree.leaf(0), dectree.leaf(1), ("T", 0, 1), ("F", 0, 2)), 3)
-    assert any("node 3" in v for v in dectree.validate(two_parents))
+    with pytest.raises(TreeError, match="node 3"):
+        from_nodes((dectree.leaf(0), dectree.leaf(1), ("T", 0, 1), ("F", 0, 2)), 3)
     # children come first and each has one parent, but node 4's left
     # subtree {0} is not contiguous with its right subtree {1, 2, 3}
-    split_subtree = from_nodes(
-        (dectree.leaf(0), dectree.leaf(1), dectree.leaf(2), ("T", 0, 2), ("F", 3, 1)), 4)
-    assert any("node 3" in v for v in dectree.validate(split_subtree))
-    with pytest.raises(TreeError):
-        dectree.dumps(split_subtree)
+    with pytest.raises(TreeError, match=r"node 3: children \(0, 2\) are not the roots"):
+        from_nodes((dectree.leaf(0), dectree.leaf(1), dectree.leaf(2), ("T", 0, 2),
+                    ("F", 3, 1)), 4)
     # node 0 lies outside the root's subtree
-    orphan = from_nodes(
-        (dectree.leaf(2), dectree.leaf(0), dectree.leaf(1), ("T", 1, 2)), 3)
-    assert any("outside the root's subtree" in v for v in dectree.validate(orphan))
+    with pytest.raises(TreeError, match=r"nodes \[0\] are outside the root's subtree"):
+        from_nodes((dectree.leaf(2), dectree.leaf(0), dectree.leaf(1), ("T", 1, 2)), 3)
 
 
 def test_validate_bad_label():
-    t = DecompTree(b"LLX", array("i", [0, 1, 0]), array("i", [0, 0, 1]), 2)
+    t = DecompTree(b"LLX", array("i", [0, 1]))
     assert dectree.validate(t)
 
 
@@ -103,22 +100,87 @@ def test_malformed_nodes_are_reported():
                   [dectree.leaf(1 << 40)]):
         with pytest.raises(TreeError, match="node "):
             from_nodes(nodes, len(nodes) - 1)
-    # the rest are trees that `validate` reports
-    leaves = array("i", [0, 1, 0])
-    for t in (from_nodes((), 0),
-              from_nodes((dectree.leaf(0), dectree.leaf(2), ("T", 0, 1)), 2),
-              from_nodes((dectree.leaf(-1), dectree.leaf(1), ("T", 0, 1)), 2),
-              DecompTree(b"LLT", leaves, array("i", [0, 0]), 2)):
+    # the rest are trees that `validate` reports, and `from_nodes` refuses
+    for nodes in ((),
+                  (dectree.leaf(0), dectree.leaf(2), ("T", 0, 1)),
+                  (dectree.leaf(-1), dectree.leaf(1), ("T", 0, 1))):
+        with pytest.raises(TreeError):
+            from_nodes(nodes, len(nodes) - 1)
+    for t in (DecompTree(b"", array("i")),
+              DecompTree(b"LLT", array("i", [0, 2])),
+              DecompTree(b"LLT", array("i", [-1, 1])),
+              DecompTree(b"LLT", array("i", [0]))):  # columns of unequal length
         assert dectree.validate(t)
         with pytest.raises(TreeError):
             dectree.require_valid(t)
 
 
-def test_columns_take_at_most_16_bytes_per_node():
+def test_columns_take_at_most_4_bytes_per_node():
     t = dectree.generate(100_000, seed=1)
     for tree in (t, dectree.loads(dectree.dumps(t))):
-        size = sum(map(sys.getsizeof, (tree.labels, tree.left, tree.right)))
-        assert size <= 16 * len(tree.labels)
+        size = sum(map(sys.getsizeof, (tree.labels, tree.vertices)))
+        assert size <= 4 * len(tree.labels)
+
+
+def _reference_validate(labels, vertices):
+    """Whether the columns are a valid tree, by an explicit stack of
+    subtrees and a set of the vertices."""
+    stack = []
+    for tag in labels:
+        if tag == dectree.LEAF_TAG:
+            stack.append(1)
+        elif tag in dectree.LABEL_TAGS and len(stack) >= 2:
+            stack.append(stack.pop() + stack.pop() + 1)
+        else:
+            return False
+    n = len(vertices)
+    return (stack == [len(labels)] and labels.count(dectree.LEAF_TAG) == n
+            and set(vertices) == set(range(n)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(b"LTFA?"), max_size=12),
+       st.lists(st.integers(-1, 7), max_size=7))
+def test_validate_agrees_with_a_reference_on_random_columns(labels, vertices):
+    t = DecompTree(bytes(labels), array("i", vertices))
+    assert (dectree.validate(t) == []) == _reference_validate(bytes(labels), vertices)
+
+
+def _mutants(t, rng):
+    """Columns of `t` with one change each: a label replaced, inserted or
+    deleted, a vertex replaced, inserted or deleted, or two labels swapped."""
+    labels, vertices = bytearray(t.labels), list(t.vertices)
+    at, v = rng.randrange(len(labels)), rng.randrange(len(vertices))
+    tag = rng.choice(b"LTFA?")
+    other = rng.randrange(len(labels))
+    swapped = bytearray(labels)
+    swapped[at], swapped[other] = labels[other], labels[at]
+    return [(labels[:at] + bytes([tag]) + labels[at + 1:], vertices),
+            (labels[:at] + bytes([tag]) + labels[at:], vertices),
+            (labels[:at] + labels[at + 1:], vertices),
+            (swapped, vertices),
+            (labels, vertices[:v] + [rng.randrange(-1, len(vertices) + 1)] + vertices[v + 1:]),
+            (labels, vertices[:v] + [rng.randrange(len(vertices))] + vertices[v:]),
+            (labels, vertices[:v] + vertices[v + 1:])]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 30), st.integers(0, 10_000), st.sampled_from(LABEL_MIXES),
+       st.randoms(use_true_random=False))
+def test_validate_agrees_with_a_reference_on_mutated_trees(n, seed, weights, rng):
+    t = dectree.generate(n, seed, weights)
+    assert dectree.validate(t) == [] and _reference_validate(t.labels, list(t.vertices))
+    for labels, vertices in _mutants(t, rng):
+        mutant = DecompTree(bytes(labels), array("i", vertices))
+        assert (dectree.validate(mutant) == []) == _reference_validate(bytes(labels), vertices)
+
+
+@pytest.mark.parametrize("shape", [*LABEL_MIXES, "path", "star", "clique"])
+def test_edge_count_equals_the_expansion(shape):
+    # a label mix gives generated trees, a name a caterpillar
+    for n in (1, 2, 40, 300):
+        t = caterpillar(n, shape) if isinstance(shape, str) else dectree.generate(n, n, shape)
+        assert dectree.edge_count(t, dp.solve(t).states) == dectree.expand(t)[0].m
 
 
 @settings(max_examples=25, deadline=None)
@@ -128,7 +190,8 @@ def test_node_tuples_round_trip_through_the_columns(n, seed):
     again = from_nodes(t.nodes, t.root)
     assert again.nodes == t.nodes
     assert again == t and hash(again) == hash(t)
-    assert again != from_nodes(t.nodes, t.root - 1)
+    with pytest.raises(TreeError, match=f"root {t.root - 1} is not the last"):
+        from_nodes(t.nodes, t.root - 1)
 
 
 def test_generate_single_leaf():

@@ -21,6 +21,13 @@ def test_gamma_p_trivial():
     assert oracle_gamma_p(build_graph(2, [(0, 1)])) == 2
 
 
+def test_gamma_p_of_a_graph_without_vertices_is_0():
+    # the empty set pairs and dominates nothing, which is all there is;
+    # on any other graph it dominates nothing and is never the answer
+    assert oracle_gamma_p(build_graph(0, [])) == 0
+    assert oracle_node_state(build_graph(0, []), []).gamma_p == 0
+
+
 def test_gamma_p_even_when_finite():
     for n, edges in [(4, [(0, 1), (1, 2), (2, 3)]),
                      (5, [(0, 1), (0, 2), (0, 3), (0, 4)]),
