@@ -29,7 +29,7 @@ from array import array
 from itertools import accumulate, islice
 from typing import Iterable, Iterator, Sequence
 
-from .graph import Graph, build_graph
+from .graph import Graph
 from .record import Record
 
 LEAF = "leaf"
@@ -132,8 +132,9 @@ def validate(t: DecompTree) -> list[str]:
         except TreeError as exc:
             violations.append(str(exc))
     seen = bytearray(n)
-    for k, v in enumerate(vertices):
+    for v in vertices:
         if not 0 <= v < n or seen[v]:
+            k = seen.count(1)  # v's position: each vertex before it was marked once
             leaves = (i for i, tag in enumerate(labels) if tag == LEAF_TAG)
             node = next(islice(leaves, k, None), "?")  # the k-th leaf
             violations.append(f"node {node}: leaf vertex {v} is repeated or outside "
@@ -204,14 +205,20 @@ def expand(t: DecompTree) -> tuple[Graph, tuple[int, ...]]:
     """Materialize the graph described by the tree and its root twin set.
 
     "T" and "A" nodes add a biclique between their children's twin sets,
-    "F" nodes add no edge.
+    "F" nodes add no edge. Each side's vertices take the other side onto
+    their neighbour lists, with no object per edge: two leaves meet at
+    exactly one node, so no edge comes twice.
     """
     require_valid(t)
-    edges: list[tuple[int, int]] = []
+    adj: list[list[int]] = [[] for _ in range(t.n_leaves)]
     for _, tag, ts_l, ts_r, ts in twin_sets(t):
         if tag == TRUE_TWIN_TAG or tag == ATTACH_TAG:
-            edges.extend((u, v) for u in ts_l for v in ts_r)
-    return build_graph(t.n_leaves, edges), tuple(sorted(ts))
+            for u in ts_l:
+                adj[u].extend(ts_r)
+            for v in ts_r:
+                adj[v].extend(ts_l)
+    adjacency = tuple(tuple(sorted(a)) for a in adj)
+    return Graph(t.n_leaves, sum(map(len, adjacency)) // 2, adjacency), tuple(sorted(ts))
 
 
 def edge_count(t: DecompTree, states: Sequence[tuple]) -> int:

@@ -6,6 +6,7 @@ that every operation downstream is deterministic.
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Iterable
 
 from .record import Record
@@ -31,21 +32,21 @@ class Graph(Record):
 
 
 def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
-    """Build a simple graph; duplicate and reversed duplicate edges collapse."""
+    """Build a simple graph from (u, v) pairs, checked and appended to one
+    list per vertex as they come; duplicate and reversed duplicate edges
+    collapse when each list becomes a sorted tuple of distinct neighbours."""
     if n < 0:
         raise GraphError(f"negative vertex count {n}")
-    seen: set[tuple[int, int]] = set()
+    adj: list[list[int]] = [[] for _ in range(n)]
     for u, v in edges:
         if u == v:
             raise GraphError(f"self-loop at vertex {u}")
         if not (0 <= u < n and 0 <= v < n):
             raise GraphError(f"edge ({u}, {v}) out of range for n={n}")
-        seen.add((u, v) if u < v else (v, u))
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v in seen:
         adj[u].append(v)
         adj[v].append(u)
-    return Graph(n, len(seen), tuple(tuple(sorted(a)) for a in adj))
+    adjacency = tuple(tuple(sorted(set(a))) for a in adj)
+    return Graph(n, sum(map(len, adjacency)) // 2, adjacency)
 
 
 def is_dominating(g: Graph, d: Iterable[int], targets: Iterable[int]) -> bool:
@@ -106,7 +107,8 @@ def is_paired_dominating(g: Graph, d: Iterable[int]) -> bool:
 
 
 def parse_graph_text(text: str) -> Graph:
-    """Parse the "n m" + edge-list text format. '#' lines are comments."""
+    """Parse the "n m" + edge-list text format. '#' lines are comments.
+    Edge lines reach `build_graph` one at a time: the first faulty one is reported."""
     lines = [
         ln.strip()
         for ln in text.splitlines()
@@ -120,17 +122,18 @@ def parse_graph_text(text: str) -> Graph:
         raise GraphError(f"bad header line {lines[0]!r}") from exc
     if len(lines) - 1 != m:
         raise GraphError(f"expected {m} edge lines, found {len(lines) - 1}")
-    edges = []
-    for ln in lines[1:]:
-        try:
-            u, v = (int(x) for x in ln.split())
-        except ValueError as exc:
-            raise GraphError(f"bad edge line {ln!r}") from exc
-        edges.append((u, v))
-    g = build_graph(n, edges)
+    g = build_graph(n, map(_edge, islice(lines, 1, None)))
     if g.m != m:
         raise GraphError(f"header claims {m} edges but {g.m} are distinct")
     return g
+
+
+def _edge(ln: str) -> tuple[int, int]:
+    try:
+        u, v = ln.split()
+        return int(u), int(v)
+    except ValueError as exc:
+        raise GraphError(f"bad edge line {ln!r}") from exc
 
 
 def format_graph_text(g: Graph) -> str:

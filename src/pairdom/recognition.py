@@ -206,7 +206,7 @@ def decompose(g: Graph) -> DecompTree:
     result = _decompose_adj({v: set(nv) for v, nv in enumerate(g.adjacency)}, key)
 
     expanded, _ = dectree.expand(result)
-    # both adjacencies come from build_graph: sorted tuples, one per vertex
+    # both adjacencies are sorted tuples of distinct neighbours, one per vertex
     if expanded.adjacency != g.adjacency:
         raise DecomposeError("round-trip postcondition failed")  # pragma: no cover
     return result

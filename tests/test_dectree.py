@@ -1,6 +1,7 @@
 import json
 import re
 import sys
+import tracemalloc
 from array import array
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import LABEL_MIXES, caterpillar, children, is_leaf, twin_set
 from pairdom import dectree, dp
 from pairdom.dectree import DecompTree, TreeError, from_nodes
+from pairdom.graph import Graph
 
 
 def test_expand_ex7(ex7_tree, ex7_graph):
@@ -57,6 +59,13 @@ def test_validate_duplicate_leaf_vertex():
     with pytest.raises(TreeError, match="node 1: leaf vertex 0 is repeated"):
         from_nodes((dectree.leaf(0), dectree.leaf(0), ("T", 0, 1)), 2)
     assert any("node 1" in v for v in dectree.validate(DecompTree(b"LLT", array("i", [0, 0]))))
+
+
+def test_validate_names_the_leaf_of_a_bad_vertex_after_the_first():
+    for vertices, v in (([0, 1, 5], 5), ([0, 1, 1], 1)):
+        t = DecompTree(b"LLTLF", array("i", vertices))
+        assert dectree.validate(t) == [f"node 3: leaf vertex {v} is repeated or "
+                                       "outside 0..2"]
 
 
 def test_validate_shared_child():
@@ -181,6 +190,45 @@ def test_edge_count_equals_the_expansion(shape):
     for n in (1, 2, 40, 300):
         t = caterpillar(n, shape) if isinstance(shape, str) else dectree.generate(n, n, shape)
         assert dectree.edge_count(t, dp.solve(t).states) == dectree.expand(t)[0].m
+
+
+def _reference_expansion(t):
+    """The expansion as a set of edges: each node copies its twin list from
+    its children's, and each T or A node adds the pairs across them."""
+    lefts, rights = dectree.children(t)
+    vertex = iter(t.vertices).__next__
+    twins, edges = [], set()
+    for i, tag in enumerate(t.labels):
+        if tag == dectree.LEAF_TAG:
+            twins.append([vertex()])
+            continue
+        left, right = twins[lefts[i]], twins[rights[i]]
+        if tag != dectree.FALSE_TWIN_TAG:
+            edges.update(frozenset((u, v)) for u in left for v in right)
+        twins.append(left if tag == dectree.ATTACH_TAG else left + right)
+    adj = [set() for _ in range(t.n_leaves)]
+    for u, v in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    return Graph(t.n_leaves, len(edges), tuple(tuple(sorted(a)) for a in adj))
+
+
+@pytest.mark.parametrize("shape", [*LABEL_MIXES, "path", "star", "clique"])
+def test_expansion_equals_a_reference_edge_set(shape):
+    for n in (1, 2, 40, 300):
+        t = caterpillar(n, shape) if isinstance(shape, str) else dectree.generate(n, n, shape)
+        assert dectree.expand(t)[0] == _reference_expansion(t)
+
+
+def test_expand_peak_is_at_most_64_bytes_per_edge():
+    t = dectree.generate(200, seed=1, weights=(1, 0, 0))  # all T: K_200
+    tracemalloc.start()
+    try:
+        g, _ = dectree.expand(t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.m == 19_900 and peak <= 64 * g.m
 
 
 @settings(max_examples=25, deadline=None)

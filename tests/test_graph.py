@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -58,6 +59,19 @@ def test_build_rejects_out_of_range():
 def test_build_collapses_duplicates():
     g = build_graph(3, [(0, 1), (1, 0), (0, 1)])
     assert g.m == 1
+
+
+@given(st.integers(2, 8), st.data())
+def test_build_graph_agrees_with_a_set_of_edges(n, data):
+    # both orientations of every pair, so lists repeat edges and reverse them
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    edges = data.draw(st.lists(st.sampled_from(pairs), max_size=40))
+    reference = {frozenset(e) for e in edges}
+    adjacency = tuple(tuple(sorted(v for e in reference if u in e for v in e if v != u))
+                      for u in range(n))
+    expected = Graph(n, len(reference), adjacency)
+    assert build_graph(n, edges) == expected
+    assert build_graph(n, iter(edges)) == expected
 
 
 def test_adjacency_symmetric_and_sorted():
@@ -150,3 +164,22 @@ def test_text_format_comments_and_errors():
         parse_graph_text("2 2\n0 1\n")  # missing edge line
     with pytest.raises(GraphError):
         parse_graph_text("2 x\n")
+
+
+def test_parse_reports_the_first_faulty_line():
+    with pytest.raises(GraphError, match=r"^edge \(0, 5\) out of range for n=3$"):
+        parse_graph_text("3 2\n0 5\n0 x\n")
+    with pytest.raises(GraphError, match=r"^bad edge line '0 x'$"):
+        parse_graph_text("3 2\n0 x\n0 5\n")
+
+
+def test_parse_peak_is_at_most_160_bytes_per_edge():
+    # K_200: the edge lines reach build_graph with no tuple per edge kept
+    text = format_graph_text(build_graph(200, itertools.combinations(range(200), 2)))
+    tracemalloc.start()
+    try:
+        g = parse_graph_text(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.m == 19_900 and peak <= 160 * g.m
