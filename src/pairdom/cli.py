@@ -154,7 +154,8 @@ def cmd_solve(args) -> int:
     t_build = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    result = dp.solve(tree, want_witness=False)
+    # only the witness reads the per-node states
+    result = dp.solve(tree, keep_states=args.witness)
     t_solve = time.perf_counter() - t0
 
     witness = None
@@ -170,7 +171,7 @@ def cmd_solve(args) -> int:
         report = {
             "instance": instance,
             "n": tree.n_leaves,
-            "m": dectree.edge_count(tree, result.states),
+            "m": dectree.edge_count(tree),
             "gamma_p": _gamma_json(result.gamma_p),
             "witness": list(witness) if witness is not None else None,
             "elapsed": {"build": t_build, "solve": t_solve, "reconstruct": t_rec},

@@ -11,9 +11,10 @@ stack: children-first walks keep the finished subtrees on a stack or read
 the right child as i-1, and parents-first walks (`dumps`, the witness,
 the `nodes` view) take child ids from one `children` pass. `generate` and
 recognition's replay lay out their nodes with `renumber`. `loads` checks
-the JSON text in whole-text passes that C does, then emits the nodes as
-they close, one Python step per node event, and refuses what is not a
-tree on the leaves 0..n-1, so its trees are valid without `validate`.
+the JSON text in whole-text passes that C does and frees it once they are
+done, then emits the nodes as they close, one Python step per node event,
+and refuses what is not a tree on the leaves 0..n-1, so its trees are
+valid without `validate`.
 `DecompTree.nodes` shows the tree as tuples, ("leaf", vertex) or (label,
 left, right); `from_nodes`, its inverse, is where explicit child ids arrive.
 """
@@ -76,10 +77,6 @@ class DecompTree(Record):
         vertex = iter(self.vertices).__next__
         return tuple((LEAF, vertex()) if tag == LEAF_TAG else (chr(tag), lt, rt)
                      for tag, lt, rt in zip(self.labels, lefts, rights))
-
-
-def leaf(vertex: int) -> tuple:
-    return (LEAF, vertex)
 
 
 def from_nodes(nodes: Iterable[tuple], root: int) -> DecompTree:
@@ -221,15 +218,30 @@ def expand(t: DecompTree) -> tuple[Graph, tuple[int, ...]]:
     return Graph(t.n_leaves, sum(map(len, adjacency)) // 2, adjacency), tuple(sorted(ts))
 
 
-def edge_count(t: DecompTree, states: Sequence[tuple]) -> int:
-    """Edge count of the tree's expansion without building it: each T or A
-    node i adds a biclique between its children's twin sets, whose sizes
-    the states (`dp.solve(t).states`) of i and of its right child i-1 give."""
-    from .dp import TS_SIZE
-
-    return sum((s[TS_SIZE] - r[TS_SIZE] if tag == TRUE_TWIN_TAG else s[TS_SIZE]) * r[TS_SIZE]
-               for tag, s, r in zip(islice(t.labels, 1, None), islice(states, 1, None), states)
-               if tag == TRUE_TWIN_TAG or tag == ATTACH_TAG)
+def edge_count(t: DecompTree) -> int:
+    """Edge count of the tree's expansion without building it, from the
+    label column alone: each T or A node adds a biclique between its
+    children's twin sets. The twin-set sizes of the finished subtrees are
+    ints on a stack, the last one's in `top`. `t` must be valid."""
+    sizes: list[int] = []
+    push, pop = sizes.append, sizes.pop
+    leaf, attach, true_twin = LEAF_TAG, ATTACH_TAG, TRUE_TWIN_TAG
+    m = top = 0
+    for tag in t.labels:
+        if tag == leaf:
+            push(top)
+            top = 1
+        elif tag == attach:  # the left child keeps the twin set
+            left = pop()
+            m += left * top
+            top = left
+        elif tag == true_twin:
+            left = pop()
+            m += left * top
+            top += left
+        else:
+            top += pop()
+    return m
 
 
 def generate(
@@ -414,11 +426,12 @@ def loads(text: str | bytes) -> DecompTree:
     Keys may come in any order, except that "l" comes before "r"; other
     keys are rejected, as are string escapes. C does the per-character work
     in whole-text passes: `_SHAPE` checks the piece grammar, `translate`
-    pulls out the leaf vertices and the node events, and `json.loads` reads
-    the vertices column. Then one Python step per event fills the labels:
-    each open node keeps its label, and a mark once its separator has come,
-    on a stack, and takes its id when it closes, so the nodes come out in
-    post-order and files of any nesting depth load. A grammar error names
+    pulls out the leaf vertices and the node events, after which `loads`
+    drops the text, and `json.loads` reads the vertices column. Then one
+    Python step per event fills the labels: each open node keeps its label,
+    and a mark once its separator has come, on a stack, and takes its id
+    when it closes, so the nodes come out in post-order and files of any
+    nesting depth load. A grammar error names
     the text offset, a structure error the node or the leaf vertex.
     """
     if isinstance(text, str):
@@ -436,9 +449,14 @@ def loads(text: str | bytes) -> DecompTree:
     if pos != len(text):
         raise _syntax_error(text, pos)
 
+    # both streams are made first, so that the text is freed before the
+    # Python passes unless the caller still holds it
+    stream = text.translate(_COMMA_FOR_F, _NOT_VERTEX)  # ",v,v,...,v"
+    events = text.translate(None, _NOT_EVENT)
+    del text  # whose length is pos
+
     # json.loads reads the ints faster than int() on split tokens; in slices
     # of about 64 KiB, so that no list holds a Python int per leaf at once
-    stream = text.translate(_COMMA_FOR_F, _NOT_VERTEX)  # ",v,v,...,v"
     n = stream.count(b",")
     seen = bytearray(n)
     vertices = array("i")
@@ -460,7 +478,6 @@ def loads(text: str | bytes) -> DecompTree:
         start = end
     del stream
 
-    events = text.translate(None, _NOT_EVENT)
     n_nodes = events.count(b"}")  # one per leaf and one per closing brace
     for piece, event in _FOLDS:
         events = events.replace(piece, event)
@@ -500,5 +517,5 @@ def loads(text: str | bytes) -> DecompTree:
     except IndexError:  # the stack is empty: nothing is open
         raise TreeError(f"the text goes on after the root, node {i - 1}") from None
     if stack or not i:
-        raise TreeError(f"tree JSON ends early at offset {len(text)}")
+        raise TreeError(f"tree JSON ends early at offset {pos}")
     return DecompTree(bytes(labels), vertices)

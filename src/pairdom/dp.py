@@ -18,12 +18,15 @@ states of the finished subtrees on a stack. Equal combine inputs (label,
 left state, right state) share one result: a memo of at most MEMO_LIMIT
 entries per call, cleared when full, hands a node the state already built
 for equal inputs, which is not combined or checked again. All leaves share
-one state.
+one state. By default `solve` also lists every node's state, which the
+witness reads; the count path (`keep_states=False`) lists none, so it keeps
+one state per open subtree, besides the memo's.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from typing import Optional, Sequence
 
 from . import dectree
@@ -52,10 +55,10 @@ class DpError(RuntimeError):
 class SolveResult(Record):
     __slots__ = ("gamma_p", "states", "witness")
 
-    def __init__(self, gamma_p: float, states: Sequence[NodeState],
+    def __init__(self, gamma_p: float, states: Optional[Sequence[NodeState]],
                  witness: Optional[tuple[int, ...]]):
         self.gamma_p = gamma_p
-        self.states = states  # indexed by tree node id
+        self.states = states  # indexed by tree node id; None unless kept
         self.witness = witness
 
 
@@ -170,16 +173,25 @@ _COMBINE = {
 }
 
 
-def solve(t: DecompTree, want_witness: bool = False) -> SolveResult:
+def solve(t: DecompTree, want_witness: bool = False, *,
+          keep_states: bool = True) -> SolveResult:
+    """Solve a valid tree; TreeError if it is not. With keep_states false
+    and no witness wanted, the result's `states` is None: no per-node list
+    is built, and a finished subtree's state is freed once its parent's
+    exists, unless the memo holds it."""
     dectree.require_valid(t)
+    keep_states = keep_states or want_witness
     # a valid tree lists children before parents, so one forward pass
     # solves it; this loop runs a couple of million times for benchmark-sized
     # trees, so no method calls inside
-    states: list[NodeState] = []
-    append = states.append
-    # the states of the finished subtrees, the right child's on top
+    states: Optional[list[NodeState]] = [] if keep_states else None
+    # without the list, a sink that drops each state, at the cost of the append
+    append = states.append if keep_states else deque(maxlen=0).append
+    # the states of the finished subtrees: the last one's in `top`, the
+    # others on a stack
     stack: list[NodeState] = []
     push, pop = stack.append, stack.pop
+    top = None
     leaf_tag = dectree.LEAF_TAG
     combine = _COMBINE
     # all leaves share one state; states are tuples, so nothing mutates it
@@ -190,15 +202,20 @@ def solve(t: DecompTree, want_witness: bool = False) -> SolveResult:
     room = MEMO_LIMIT  # entries the memo takes before it is cleared
     for tag in t.labels:
         if tag == leaf_tag:
-            append(shared_leaf)
-            push(shared_leaf)
+            push(top)
+            top = shared_leaf
+            append(top)
             continue
-        key = (tag, stack[-2], pop())
+        key = (tag, pop(), top)
         s = lookup(key)
         if s is None:
             try:
                 s = combine[tag](key[1], key[2])
             except DpError as exc:
+                if states is None:
+                    # only the list gives the node's id: solving again
+                    # with it fails at the same node
+                    solve(t)
                 # the list's length is this node's id
                 raise DpError(f"node {len(states)}: {exc}") from exc
             if not room:
@@ -206,9 +223,9 @@ def solve(t: DecompTree, want_witness: bool = False) -> SolveResult:
                 room = MEMO_LIMIT
             room -= 1
             memo[key] = s
-        stack[-1] = s
+        top = s
         append(s)
-    gamma_p = states[-1][GAMMA_P]  # the root is the last node
+    gamma_p = top[GAMMA_P]  # the root's, the one subtree left
     witness = None
     if want_witness and gamma_p != INF:
         from .witness import reconstruct_witness

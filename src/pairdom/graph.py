@@ -24,9 +24,6 @@ class Graph(Record):
         self.m = m
         self.adjacency = adjacency
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adjacency[u]
-
     def edges(self) -> list[tuple[int, int]]:
         return [(u, v) for u in range(self.n) for v in self.adjacency[u] if u < v]
 

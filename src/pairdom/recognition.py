@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import random
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Sequence
 
 from . import dectree
 from .dectree import DecompTree
@@ -72,45 +72,6 @@ class DecomposeError(RuntimeError):
 
 # fixed, so that the same graph always gets the same tree
 _KEY_SEED = 0x9E3779B97F4A7C15
-
-
-def _reductions_at(adj: dict[int, set], u: int):
-    """All valid reductions removing u, in kind-then-anchor order."""
-    nu = adj[u]
-    out: list[Reduction] = []
-    if len(nu) == 1:
-        out.append(Reduction(ReductionKind.PENDANT, u, next(iter(nu))))
-    closed_u = nu | {u}
-    for v in sorted(adj):
-        if v == u:
-            continue
-        if v in nu:
-            if (adj[v] | {v}) == closed_u:
-                out.append(Reduction(ReductionKind.TRUE_TWIN, u, v))
-        elif adj[v] == nu:
-            out.append(Reduction(ReductionKind.FALSE_TWIN, u, v))
-    out.sort(key=lambda r: (_KIND_ORDER[r.kind], r.anchor))
-    return out
-
-
-_KIND_ORDER = {ReductionKind.PENDANT: 0,
-               ReductionKind.TRUE_TWIN: 1,
-               ReductionKind.FALSE_TWIN: 2}
-
-
-def find_reduction(g: Graph) -> Optional[Reduction]:
-    """Deterministic choice: smallest removed id, then pendant < true twin
-    < false twin, then smallest anchor.
-
-    A scan over all vertex pairs, kept as the reference the tests check
-    one pruning step against; `decompose` does not use it.
-    """
-    adj = {v: set(g.adjacency[v]) for v in range(g.n)}
-    for u in range(g.n):
-        cands = _reductions_at(adj, u)
-        if cands:
-            return cands[0]
-    return None
 
 
 def _build_tree(last: int, reductions: list[Reduction]) -> DecompTree:

@@ -5,6 +5,7 @@ import pytest
 
 from pairdom import dectree, dp
 from pairdom.graph import build_graph
+from pairdom.recognition import Reduction, ReductionKind
 
 DATA = Path(__file__).parent / "data"
 
@@ -51,6 +52,52 @@ def ex7_tree_attach_root():
 @pytest.fixture(scope="session")
 def data_dir():
     return DATA
+
+
+def leaf(vertex):
+    """A leaf as `DecompTree.nodes` and `dectree.from_nodes` show it."""
+    return (dectree.LEAF, vertex)
+
+
+def has_edge(g, u, v):
+    return v in g.adjacency[u]
+
+
+_KIND_ORDER = {ReductionKind.PENDANT: 0,
+               ReductionKind.TRUE_TWIN: 1,
+               ReductionKind.FALSE_TWIN: 2}
+
+
+def _reductions_at(adj, u):
+    """All valid reductions removing u, in kind-then-anchor order."""
+    nu = adj[u]
+    out = []
+    if len(nu) == 1:
+        out.append(Reduction(ReductionKind.PENDANT, u, next(iter(nu))))
+    closed_u = nu | {u}
+    for v in sorted(adj):
+        if v == u:
+            continue
+        if v in nu:
+            if (adj[v] | {v}) == closed_u:
+                out.append(Reduction(ReductionKind.TRUE_TWIN, u, v))
+        elif adj[v] == nu:
+            out.append(Reduction(ReductionKind.FALSE_TWIN, u, v))
+    out.sort(key=lambda r: (_KIND_ORDER[r.kind], r.anchor))
+    return out
+
+
+def find_reduction(g):
+    """Deterministic choice: smallest removed id, then pendant < true twin
+    < false twin, then smallest anchor. A scan over all vertex pairs, the
+    reference one pruning step of `recognition.decompose` is checked
+    against."""
+    adj = {v: set(g.adjacency[v]) for v in range(g.n)}
+    for u in range(g.n):
+        cands = _reductions_at(adj, u)
+        if cands:
+            return cands[0]
+    return None
 
 
 def is_leaf(t, node):
@@ -109,16 +156,16 @@ def caterpillar(n, shape):
     right, so all its leaves come first. Each state differs from its
     child's on a path or a clique; a star's states take at most two values."""
     if shape == "path":
-        nodes = [dectree.leaf(v) for v in range(n)]
+        nodes = [leaf(v) for v in range(n)]
         spine = n - 1
         for v in range(n - 2, -1, -1):
             nodes.append(("A", v, spine))
             spine = len(nodes) - 1
     else:
         label = {"star": "A", "clique": "T"}[shape]
-        nodes = [dectree.leaf(0)]
+        nodes = [leaf(0)]
         for v in range(1, n):
-            nodes += [dectree.leaf(v), (label, len(nodes) - 1, len(nodes))]
+            nodes += [leaf(v), (label, len(nodes) - 1, len(nodes))]
     return dectree.from_nodes(nodes, len(nodes) - 1)
 
 

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import pairdom
+from conftest import leaf
 from pairdom import cli, dectree
 from pairdom.cli import main
 
@@ -109,6 +110,16 @@ def test_solve_out_of_memory_exits_6(capsys, data_dir, monkeypatch):
     assert (code, out, err) == (6, "", "error: out of memory\n")
 
 
+def test_solve_witness_out_of_memory_exits_6(capsys, data_dir, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr("pairdom.witness.reconstruct_witness", exhausted)
+    code, out, err = run(capsys, "solve", "--tree", str(data_dir / "ex7_tree.json"),
+                         "--witness")
+    assert (code, out, err) == (6, "", "error: out of memory\n")
+
+
 def test_solve_json_round_trips(capsys, data_dir):
     code, out, _ = run(capsys, "solve", "--graph", str(data_dir / "ex7.txt"),
                        "--witness", "--json")
@@ -126,9 +137,9 @@ def test_solve_deep_star_tree_subprocess(tmp_path):
     # a 100000-leaf star caterpillar A(...A(A(0, 1), 2)..., n-1) nests
     # 100000 objects deep; reading it must not exhaust any stack
     n = 100_000
-    nodes = [dectree.leaf(0)]
+    nodes = [leaf(0)]
     for v in range(1, n):
-        nodes += [dectree.leaf(v), ("A", len(nodes) - 1, len(nodes))]
+        nodes += [leaf(v), ("A", len(nodes) - 1, len(nodes))]
     path = tmp_path / "star.json"
     path.write_text(dectree.dumps(dectree.from_nodes(nodes, len(nodes) - 1)))
     env = _pairdom_env()

@@ -1,11 +1,12 @@
 import math
 import re
+import tracemalloc
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import (LABEL_MIXES, caterpillar, children, is_leaf, label, node_state,
+from conftest import (LABEL_MIXES, caterpillar, children, is_leaf, label, leaf, node_state,
                       reference_states)
 from pairdom import cli, dectree, dp
 from pairdom.dp import (
@@ -151,7 +152,7 @@ def test_solve_ex7_attach_root(ex7_tree_attach_root):
 
 
 def test_solve_single_leaf():
-    t = dectree.from_nodes((dectree.leaf(0),), 0)
+    t = dectree.from_nodes((leaf(0),), 0)
     assert solve(t).gamma_p == INF
 
 
@@ -159,7 +160,7 @@ def test_solve_forest_with_isolated_component():
     # F-joined forest where one component is a lone vertex
     k2 = ("T", 0, 1)
     t = dectree.from_nodes(
-        (dectree.leaf(0), dectree.leaf(1), k2, dectree.leaf(2), ("F", 2, 3)), 4)
+        (leaf(0), leaf(1), k2, leaf(2), ("F", 2, 3)), 4)
     assert solve(t).gamma_p == INF
 
 
@@ -212,6 +213,30 @@ def test_star_states_are_shared():
     states = solve(t).states
     assert len({id(s) for s in states}) <= 3
     assert states == reference_states(t)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 300), st.integers(0, 10_000),
+       st.sampled_from([*LABEL_MIXES, "path", "star", "clique"]))
+def test_count_path_gamma_equals_the_root_state(n, seed, shape):
+    # a label mix gives generated trees, a name a caterpillar
+    t = caterpillar(n, shape) if isinstance(shape, str) else dectree.generate(n, seed, shape)
+    count = solve(t, keep_states=False)
+    assert count.states is None and count.witness is None
+    assert count.gamma_p == solve(t).states[-1][dp.GAMMA_P]
+
+
+def test_count_path_keeps_no_state_per_node():
+    # every state of a path caterpillar differs from its child's; without the
+    # list only the open subtrees' states and the memo's stay alive
+    t = caterpillar(30_000, "path")
+    tracemalloc.start()
+    try:
+        gamma_p = solve(t, keep_states=False).gamma_p
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert gamma_p == 15_000 and peak <= 24 * len(t.labels)
 
 
 def test_dp_error_names_the_node(monkeypatch, capsys, data_dir):

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from conftest import LABEL_MIXES, cycle_graph, induced_subgraph
+from conftest import LABEL_MIXES, cycle_graph, find_reduction, induced_subgraph
 from pairdom import dectree, dp
 from pairdom.graph import build_graph
 from pairdom.recognition import (
@@ -11,7 +11,6 @@ from pairdom.recognition import (
     Reduction,
     ReductionKind,
     decompose,
-    find_reduction,
     is_distance_hereditary,
 )
 

@@ -3,9 +3,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import LABEL_MIXES
+from conftest import LABEL_MIXES, leaf
 from pairdom import dectree, dp
-from pairdom.dectree import ATTACH_TAG, FALSE_TWIN_TAG, LEAF_TAG, from_nodes, leaf
+from pairdom.dectree import ATTACH_TAG, FALSE_TWIN_TAG, LEAF_TAG, from_nodes
 from pairdom.graph import is_paired_dominating
 from pairdom.oracle import oracle_gamma_p
 from pairdom.witness import (DOM, HIT, WitnessError, _certificate, _check, _split,
@@ -21,13 +21,13 @@ def test_ex7_witness(ex7_tree, ex7_graph):
 
 def test_k2_witness():
     t = dectree.from_nodes(
-        (dectree.leaf(0), dectree.leaf(1), ("T", 0, 1)), 2)
+        (leaf(0), leaf(1), ("T", 0, 1)), 2)
     res = dp.solve(t, want_witness=True)
     assert res.witness == (0, 1)
 
 
 def test_no_witness_when_infinite():
-    t = dectree.from_nodes((dectree.leaf(0),), 0)
+    t = dectree.from_nodes((leaf(0),), 0)
     res = dp.solve(t, want_witness=True)
     assert res.witness is None
     with pytest.raises(WitnessError):
