@@ -27,6 +27,7 @@ import random
 import re
 import sys
 from array import array
+from bisect import bisect
 from itertools import accumulate, islice
 from typing import Iterable, Iterator, Sequence
 
@@ -262,6 +263,11 @@ def generate(
             or not 0 < sum(weights) < math.inf):
         raise TreeError(f"bad label weights {weights!r}: need three finite "
                         "non-negative numbers, not all zero")
+    wt, _, wa = weights
+    # root merge: keep the expansion connected
+    connected = (wt, 0.0, wa) if wt + wa else (1.0, 0.0, 1.0)
+    # random.choices' pick, with the cumulative weights built once
+    cum, root_cum = list(accumulate(weights)), list(accumulate(connected))
     rng = random.Random(seed)
     labels = bytearray([LEAF_TAG]) * n
     lefts, rights = array("i", range(n)), array("i", bytes(4 * n))
@@ -273,15 +279,8 @@ def generate(
         j = rng.randrange(len(roots))
         roots[j], roots[-1] = roots[-1], roots[j]
         b = roots.pop()
-        if len(roots) == 0:
-            # root merge: keep the expansion connected
-            wt, _, wa = weights
-            connected = (wt, 0.0, wa)
-            if wt + wa == 0:
-                connected = (1.0, 0.0, 1.0)
-            tag = rng.choices(LABEL_TAGS, weights=connected)[0]
-        else:
-            tag = rng.choices(LABEL_TAGS, weights=weights)[0]
+        c = cum if roots else root_cum
+        tag = LABEL_TAGS[bisect(c, rng.random() * c[-1], 0, 2)]
         if tag == ATTACH_TAG and rng.random() < 0.5:
             a, b = b, a
         roots.append(len(labels))

@@ -106,11 +106,7 @@ def is_paired_dominating(g: Graph, d: Iterable[int]) -> bool:
 def parse_graph_text(text: str) -> Graph:
     """Parse the "n m" + edge-list text format. '#' lines are comments.
     Edge lines reach `build_graph` one at a time: the first faulty one is reported."""
-    lines = [
-        ln.strip()
-        for ln in text.splitlines()
-        if ln.strip() and not ln.strip().startswith("#")
-    ]
+    lines = [ln for ln in map(str.strip, text.splitlines()) if ln and not ln.startswith("#")]
     if not lines:
         raise GraphError("empty graph file")
     try:

@@ -31,30 +31,11 @@ returned tree reproduces the input adjacency exactly.
 from __future__ import annotations
 
 import random
-from enum import Enum
 from typing import Sequence
 
 from . import dectree
 from .dectree import DecompTree
 from .graph import Graph
-from .record import Record
-
-
-class ReductionKind(Enum):
-    """Each kind's value is the label column byte of the tree node its
-    replay creates."""
-    PENDANT = dectree.ATTACH_TAG
-    TRUE_TWIN = dectree.TRUE_TWIN_TAG
-    FALSE_TWIN = dectree.FALSE_TWIN_TAG
-
-
-class Reduction(Record):
-    __slots__ = ("kind", "removed", "anchor")
-
-    def __init__(self, kind: ReductionKind, removed: int, anchor: int):
-        self.kind = kind
-        self.removed = removed
-        self.anchor = anchor
 
 
 class NotDistanceHereditary(ValueError):
@@ -74,20 +55,21 @@ class DecomposeError(RuntimeError):
 _KEY_SEED = 0x9E3779B97F4A7C15
 
 
-def _build_tree(last: int, reductions: list[Reduction]) -> DecompTree:
+def _build_tree(last: int, steps: list[tuple[int, int, int]]) -> DecompTree:
     """Replay removals in reverse, each overwriting the anchor's current leaf
-    with a node over new leaves for the anchor and the removed vertex."""
+    with a node over new leaves for the anchor and the removed vertex. A
+    step is (label byte of that node, removed, anchor)."""
     leaf = dectree.LEAF_TAG
     labels, lefts, rights = [leaf], [last], [0]  # a leaf's vertex is its left
-    at = [0] * (len(reductions) + 1)  # vertex -> index of its current leaf
-    for r in reversed(reductions):
+    at = [0] * (len(steps) + 1)  # vertex -> index of its current leaf
+    for tag, removed, anchor in reversed(steps):
         i = len(labels)
-        j = at[r.anchor]
-        labels[j], lefts[j], rights[j] = r.kind.value, i, i + 1
+        j = at[anchor]
+        labels[j], lefts[j], rights[j] = tag, i, i + 1
         labels += (leaf, leaf)
-        lefts += (r.anchor, r.removed)
+        lefts += (anchor, removed)
         rights += (0, 0)
-        at[r.anchor], at[r.removed] = i, i + 1
+        at[anchor], at[removed] = i, i + 1
     return dectree.renumber(labels, lefts, rights, 0)
 
 
@@ -114,32 +96,34 @@ def _decompose_adj(adj: dict[int, set], key: Sequence[int]) -> DecompTree:
     true_bk: dict[int, list] = {}   # h(v) + key(v) -> filed vertices
     work = list(reversed(adj))      # popped smallest id first
     queued = set(work)
-    seq: list[Reduction] = []
+    steps: list[tuple[int, int, int]] = []
     while len(adj) > 1:
         if not work:
             raise NotDistanceHereditary(v for v, nv in adj.items() if nv)
         u = work.pop()
         queued.remove(u)
         nu, hu, ku = adj[u], h[u], key[u]
-        red = None
+        step = None
         if len(nu) == 1:
-            red = Reduction(ReductionKind.PENDANT, u, next(iter(nu)))
+            step = (dectree.ATTACH_TAG, u, next(iter(nu)))
         else:
-            # a bucket hit only proposes a twin; the actual sets decide
+            # a bucket hit only proposes a twin; the actual sets decide.
+            # Adjacent u and w are true twins exactly when their open
+            # neighbourhoods differ by u and w alone.
             for w in true_bk.get(hu + ku, ()):
-                if adj[w] | {w} == nu | {u}:
-                    red = Reduction(ReductionKind.TRUE_TWIN, u, w)
+                if nu ^ adj[w] == {u, w}:
+                    step = (dectree.TRUE_TWIN_TAG, u, w)
                     break
             else:
                 for w in false_bk.get(hu, ()):
                     if adj[w] == nu:
-                        red = Reduction(ReductionKind.FALSE_TWIN, u, w)
+                        step = (dectree.FALSE_TWIN_TAG, u, w)
                         break
-        if red is None:
+        if step is None:
             false_bk.setdefault(hu, []).append(u)
             true_bk.setdefault(hu + ku, []).append(u)
             continue
-        seq.append(red)
+        steps.append(step)
         del adj[u]
         for w in nu:
             adj[w].remove(u)
@@ -150,7 +134,7 @@ def _decompose_adj(adj: dict[int, set], key: Sequence[int]) -> DecompTree:
                 work.append(w)
             h[w] -= ku
     (last,) = adj
-    return _build_tree(last, seq)
+    return _build_tree(last, steps)
 
 
 def decompose(g: Graph) -> DecompTree:

@@ -5,7 +5,6 @@ import pytest
 
 from pairdom import dectree, dp
 from pairdom.graph import build_graph
-from pairdom.recognition import Reduction, ReductionKind
 
 DATA = Path(__file__).parent / "data"
 
@@ -63,35 +62,36 @@ def has_edge(g, u, v):
     return v in g.adjacency[u]
 
 
-_KIND_ORDER = {ReductionKind.PENDANT: 0,
-               ReductionKind.TRUE_TWIN: 1,
-               ReductionKind.FALSE_TWIN: 2}
+# a pruning step is (label byte of the node its replay creates, removed, anchor)
+_KIND_ORDER = {dectree.ATTACH_TAG: 0,
+               dectree.TRUE_TWIN_TAG: 1,
+               dectree.FALSE_TWIN_TAG: 2}
 
 
 def _reductions_at(adj, u):
-    """All valid reductions removing u, in kind-then-anchor order."""
+    """All valid pruning steps removing u, in kind-then-anchor order."""
     nu = adj[u]
     out = []
     if len(nu) == 1:
-        out.append(Reduction(ReductionKind.PENDANT, u, next(iter(nu))))
+        out.append((dectree.ATTACH_TAG, u, next(iter(nu))))
     closed_u = nu | {u}
     for v in sorted(adj):
         if v == u:
             continue
         if v in nu:
             if (adj[v] | {v}) == closed_u:
-                out.append(Reduction(ReductionKind.TRUE_TWIN, u, v))
+                out.append((dectree.TRUE_TWIN_TAG, u, v))
         elif adj[v] == nu:
-            out.append(Reduction(ReductionKind.FALSE_TWIN, u, v))
-    out.sort(key=lambda r: (_KIND_ORDER[r.kind], r.anchor))
+            out.append((dectree.FALSE_TWIN_TAG, u, v))
+    out.sort(key=lambda step: (_KIND_ORDER[step[0]], step[2]))
     return out
 
 
 def find_reduction(g):
-    """Deterministic choice: smallest removed id, then pendant < true twin
-    < false twin, then smallest anchor. A scan over all vertex pairs, the
-    reference one pruning step of `recognition.decompose` is checked
-    against."""
+    """Deterministic choice of a pruning step: smallest removed id, then
+    pendant < true twin < false twin, then smallest anchor. A scan over all
+    vertex pairs, the reference one pruning step of `recognition.decompose`
+    is checked against."""
     adj = {v: set(g.adjacency[v]) for v in range(g.n)}
     for u in range(g.n):
         cands = _reductions_at(adj, u)

@@ -297,6 +297,11 @@ def test_gen_seed_from_env(tmp_path, capsys, monkeypatch):
     monkeypatch.delenv("PDOM_SEED")
     run(capsys, "gen", "--n", "30", "--seed", "41", "--out-tree", str(b))
     assert a.read_bytes() == b.read_bytes()
+    monkeypatch.setenv("PDOM_SEED", "x")
+    code, out, err = run(capsys, "gen", "--n", "30", "--out-tree", str(tmp_path / "c.json"))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: PDOM_SEED must be an integer")
+    assert not (tmp_path / "c.json").exists()
 
 
 def test_check_pass_and_failures(capsys, data_dir, tmp_path):
@@ -314,18 +319,32 @@ def test_check_pass_and_failures(capsys, data_dir, tmp_path):
     code, out, _ = run(capsys, "check", "--graph", str(path),
                        "--set", ",".join(map(str, range(3000))))
     assert code == 0 and "ok" in out
+    star = tmp_path / "star.txt"
+    star.write_text("4 3\n0 1\n0 2\n0 3\n")
+    code, out, _ = run(capsys, "check", "--graph", str(star), "--set", "0,1,2,3")
+    assert (code, out) == (1, "fail: induced subgraph has no perfect matching\n")
 
 
 @pytest.mark.parametrize("argv", [
-    ["gen", "--n", "5", "--weights", "nan,1,1"],
-    ["gen", "--n", "5", "--weights", "1,inf,1"],
-    ["gen", "--n", "5", "--out-tree", "/nonexistent/x.json"],
-    ["bench", "--sizes", "10", "--repeats", "0"],
+    # (arguments, start of the message); {tmp} and {data} name directories
+    (["gen", "--n", "5", "--weights", "nan,1,1", "--out-tree", "{tmp}/x.json"],
+     "bad label weights [nan, 1.0, 1.0]: "),
+    (["gen", "--n", "5", "--weights", "1,inf,1", "--out-tree", "{tmp}/x.json"],
+     "bad label weights [1.0, inf, 1.0]: "),
+    (["gen", "--n", "5", "--out-tree", "/nonexistent/x.json"], "cannot write /nonexistent/x.json"),
+    (["bench", "--sizes", "10", "--repeats", "0"], "--repeats must be >= 1, got 0"),
+    (["gen", "--n", "5", "--weights", "a,b,c", "--out-tree", "{tmp}/x.json"],
+     "bad --weights 'a,b,c'"),
+    (["bench", "--sizes", "0"], "--sizes needs positive integers"),
+    (["check", "--graph", "{data}/ex7.txt", "--set", "1,x"],
+     "expected comma-separated vertex ids, got '1,x'"),
 ])
-def test_usage_errors_exit_2(capsys, argv):
-    code, out, err = run(capsys, *argv)
+def test_usage_errors_exit_2(capsys, tmp_path, data_dir, argv):
+    args, message = argv
+    code, out, err = run(capsys, *(a.format(tmp=tmp_path, data=data_dir) for a in args))
     assert (code, out) == (2, "")
-    assert err.startswith("error: ") and "Traceback" not in err
+    assert err.startswith("error: " + message) and "Traceback" not in err
+    assert not any(tmp_path.iterdir())
 
 
 def _parse_exit(capsys, parser, argv):

@@ -1,4 +1,5 @@
 import json
+import random
 import re
 import sys
 import tracemalloc
@@ -270,6 +271,39 @@ def test_generate_deterministic():
     b = dectree.generate(40, seed=11)
     assert a == b
     assert a != dectree.generate(40, seed=12)
+
+
+def _generate_with_choices(n, seed, weights):
+    """`generate` as a plain loop that draws each label with `rng.choices`."""
+    rng = random.Random(seed)
+    labels, lefts, rights = [dectree.LEAF_TAG] * n, list(range(n)), [0] * n
+    roots = list(range(n))
+    while len(roots) > 1:
+        picked = []
+        for _ in range(2):
+            i = rng.randrange(len(roots))
+            roots[i], roots[-1] = roots[-1], roots[i]
+            picked.append(roots.pop())
+        a, b = picked
+        wt, _, wa = weights
+        w = weights if roots else ((wt, 0.0, wa) if wt + wa else (1.0, 0.0, 1.0))
+        tag = rng.choices(dectree.LABEL_TAGS, weights=w)[0]
+        if tag == dectree.ATTACH_TAG and rng.random() < 0.5:
+            a, b = b, a
+        roots.append(len(labels))
+        labels.append(tag)
+        lefts.append(a)
+        rights.append(b)
+    return dectree.renumber(labels, lefts, rights, roots[0])
+
+
+def test_generate_draws_labels_as_random_choices_does():
+    # (0, 1, 0) leaves the root merge no T or A weight
+    for weights in [(1.0, 1.0, 1.0), (0, 1, 0), (0.25, 2.5, 1e-3)] + LABEL_MIXES:
+        for seed in range(8):
+            for n in (1, 2, 3, 50, 300):
+                assert (dectree.generate(n, seed, weights)
+                        == _generate_with_choices(n, seed, weights)), (weights, seed, n)
 
 
 def test_generate_rejects_bad_args():

@@ -164,6 +164,10 @@ def test_text_format_comments_and_errors():
         parse_graph_text("2 2\n0 1\n")  # missing edge line
     with pytest.raises(GraphError):
         parse_graph_text("2 x\n")
+    with pytest.raises(GraphError, match=r"^header claims 3 edges but 2 are distinct$"):
+        parse_graph_text("3 3\n0 1\n1 0\n1 2\n")
+    with pytest.raises(GraphError, match=r"^negative vertex count -1$"):
+        parse_graph_text("-1 0\n")
 
 
 def test_parse_reports_the_first_faulty_line():

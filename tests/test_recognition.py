@@ -3,21 +3,14 @@ import random
 
 import pytest
 
-from conftest import LABEL_MIXES, cycle_graph, find_reduction, induced_subgraph
-from pairdom import dectree, dp
+from conftest import LABEL_MIXES, caterpillar, cycle_graph, find_reduction, induced_subgraph
+from pairdom import dectree, dp, recognition
 from pairdom.graph import build_graph
-from pairdom.recognition import (
-    NotDistanceHereditary,
-    Reduction,
-    ReductionKind,
-    decompose,
-    is_distance_hereditary,
-)
+from pairdom.recognition import NotDistanceHereditary, decompose, is_distance_hereditary
 
 
 def test_find_reduction_k2():
-    r = find_reduction(build_graph(2, [(0, 1)]))
-    assert r == Reduction(ReductionKind.PENDANT, removed=0, anchor=1)
+    assert find_reduction(build_graph(2, [(0, 1)])) == (dectree.ATTACH_TAG, 0, 1)
 
 
 def test_find_reduction_c5_absent():
@@ -26,21 +19,17 @@ def test_find_reduction_c5_absent():
 
 def test_find_reduction_star():
     g = build_graph(4, [(0, 1), (0, 2), (0, 3)])
-    r = find_reduction(g)
-    assert r.kind == ReductionKind.PENDANT
-    assert r.removed == 1 and r.anchor == 0
+    assert find_reduction(g) == (dectree.ATTACH_TAG, 1, 0)
 
 
 def test_find_reduction_true_twins():
     g = build_graph(4, [(0, 1), (0, 2), (1, 2), (2, 3)])  # 0 and 1 true twins
-    r = find_reduction(g)
-    assert r == Reduction(ReductionKind.TRUE_TWIN, removed=0, anchor=1)
+    assert find_reduction(g) == (dectree.TRUE_TWIN_TAG, 0, 1)
 
 
 def test_find_reduction_false_twins():
     g = build_graph(4, [(0, 2), (0, 3), (1, 2), (1, 3)])  # C4: 0,1 false twins
-    r = find_reduction(g)
-    assert r == Reduction(ReductionKind.FALSE_TWIN, removed=0, anchor=1)
+    assert find_reduction(g) == (dectree.FALSE_TWIN_TAG, 0, 1)
 
 
 def _expands_equal(t, g):
@@ -190,3 +179,29 @@ def test_decompose_remnant_is_stuck():
     remnant = exc.value.remnant
     assert len(remnant) >= 5
     assert find_reduction(induced_subgraph(g, remnant)[0]) is None
+
+
+# graphs with no pendant and no twin, so none prunes at all
+HOUSE = build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 0), (4, 0), (4, 1)])
+GEM = build_graph(5, [(0, 1), (1, 2), (2, 3)] + [(4, v) for v in range(4)])
+DOMINO = build_graph(6, [(0, 1), (1, 2), (3, 4), (4, 5), (0, 3), (1, 4), (2, 5)])
+
+
+def _decompose_colliding(g):
+    """Prune g with every key 0, so that all filed vertices share one
+    bucket and only the actual neighbour sets tell twins apart."""
+    return recognition._decompose_adj(
+        {v: set(nv) for v, nv in enumerate(g.adjacency)}, [0] * g.n)
+
+
+def test_pruning_survives_hash_collisions():
+    graphs = [_relabeled(dectree.expand(dectree.generate(n, seed, mix))[0], seed)
+              for mix in LABEL_MIXES for seed, n in enumerate((2, 7, 30, 60))]
+    graphs += [dectree.expand(caterpillar(n, shape))[0]
+               for shape in ("path", "star", "clique") for n in (2, 5, 40)]
+    for g in graphs:
+        assert _expands_equal(_decompose_colliding(g), g)
+    for g in (cycle_graph(5), HOUSE, GEM, DOMINO):
+        with pytest.raises(NotDistanceHereditary) as exc:
+            _decompose_colliding(g)
+        assert exc.value.remnant == tuple(range(g.n))
