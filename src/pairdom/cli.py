@@ -5,9 +5,11 @@ Subcommands: solve, gen, check, bench, oracle. Exit codes: 0 success,
 4 oracle size guard exceeded, 5 internal error (a self-check of
 recognition, the solver or the witness failed), 6 out of memory.
 Standard output that cannot be written (a full disk, a closed pipe) is a
-usage error, exit 2, and so is a graph without vertices given to
-`solve --graph`, as `gen --n 0` refuses an empty tree. PDOM_SEED provides
-the default seed.
+usage error, exit 2. So are a graph without vertices given to
+`solve --graph`, as `gen --n 0` refuses an empty tree, and an `oracle`
+question without an answer: a twin set or k out of range, --k without
+--ts, or a graph where gamma_k is undefined for every k. PDOM_SEED
+provides the default seed.
 
 `run` is the process entry point of the `pairdom` script and of
 `python -m pairdom`; `main(argv)` returns the exit code instead, for callers
@@ -235,7 +237,10 @@ def cmd_bench(args) -> int:
 
     from .witness import reconstruct_witness
 
-    sizes = [int(s) for s in _parse_ids(args.sizes)]
+    try:
+        sizes = [int(tok) for tok in args.sizes.replace(",", " ").split()]
+    except ValueError:
+        sizes = []
     if not sizes or any(s < 1 for s in sizes):
         raise CliError("--sizes needs positive integers")
     if args.repeats < 1:
@@ -250,12 +255,12 @@ def cmd_bench(args) -> int:
         solve_times, loads_times, witness_times = [], [], []
         for _ in range(args.repeats):
             t0 = time.perf_counter()
-            states = dp.solve(tree, want_witness=False).states
+            result = dp.solve(tree)
             t1 = time.perf_counter()
             dectree.loads(text)
             t2 = time.perf_counter()
-            if states[tree.root][dp.GAMMA_P] != dp.INF:  # else there is no witness
-                reconstruct_witness(tree, states)
+            if result.gamma_p != dp.INF:  # else there is no witness
+                reconstruct_witness(tree, result.states)
                 witness_times.append(time.perf_counter() - t2)
             solve_times.append(t1 - t0)
             loads_times.append(t2 - t1)
@@ -290,6 +295,8 @@ def cmd_bench(args) -> int:
 def cmd_oracle(args) -> int:
     from . import oracle
 
+    if args.ts is None and args.k is not None:
+        raise CliError("--k needs --ts")
     g = _load_graph(args.graph)
     try:
         if args.ts is None:
@@ -302,9 +309,11 @@ def cmd_oracle(args) -> int:
             _print("none" if val is None else str(val))
             return EXIT_OK
         rep = oracle.oracle_node_state(g, ts)
-    except oracle.OracleSizeError as exc:
+    except oracle.OracleSizeError as exc:  # a ValueError, so caught first
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ORACLE_GUARD
+    except ValueError as exc:  # a twin set or k out of range, or no gamma_k at all
+        raise CliError(str(exc))
     table = " ".join("none" if v is None else str(v) for v in rep.gamma_k)
     _print(f"gamma_k {table}",
            f"min {rep.min} alpha {rep.alpha} beta {rep.beta}",

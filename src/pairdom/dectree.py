@@ -9,12 +9,8 @@ and left child the root of the subtree ending before that, and the root
 is the last node. Each walk is one loop, so no depth touches the call
 stack: children-first walks keep the finished subtrees on a stack or read
 the right child as i-1, and parents-first walks (`dumps`, the witness,
-the `nodes` view) take child ids from one `children` pass. `generate` and
-recognition's replay lay out their nodes with `renumber`. `loads` checks
-the JSON text in whole-text passes that C does and frees it once they are
-done, then emits the nodes as they close, one Python step per node event,
-and refuses what is not a tree on the leaves 0..n-1, so its trees are
-valid without `validate`.
+the `nodes` view) take child ids from one `children` pass. None of them
+checks the tree: a `DecompTree` is valid by construction.
 `DecompTree.nodes` shows the tree as tuples, ("leaf", vertex) or (label,
 left, right); `from_nodes`, its inverse, is where explicit child ids arrive.
 """
@@ -49,15 +45,29 @@ _STEP[LEAF_TAG] = 1
 
 
 class TreeError(ValueError):
-    """Raised when a structurally invalid tree is used where a valid one is required."""
+    """Columns, node tuples or a tree file that are not a tree, or bad `generate` args."""
 
 
 class DecompTree(Record):
+    """A valid tree: `DecompTree(labels, vertices)` raises TreeError with
+    `validate`'s violations, joined by "; ", unless the columns are one.
+    `loads` and `renumber` skip the check: their columns are a tree by how
+    they are made. As a hashable `Record`, it is not mutated once built;
+    `vertices` is an `array('i')`, as no read-only view stops reassignment."""
     __slots__ = ("labels", "vertices")
 
     def __init__(self, labels: bytes, vertices: array):
+        violations = validate(labels, vertices)
+        if violations:
+            raise TreeError("; ".join(violations))
         self.labels = labels
         self.vertices = vertices
+
+    @classmethod
+    def _trusted(cls, labels: bytes, vertices: array) -> DecompTree:
+        t = cls.__new__(cls)
+        t.labels, t.vertices = labels, vertices
+        return t
 
     def __hash__(self) -> int:
         return hash((self.labels, self.vertices.tobytes()))
@@ -72,9 +82,9 @@ class DecompTree(Record):
 
     @property
     def nodes(self) -> tuple[tuple, ...]:
-        """The nodes of a valid tree as tuples, ("leaf", vertex) or (label,
-        left, right): a read-only view built on each access."""
-        lefts, rights = children(self)
+        """The nodes as tuples, ("leaf", vertex) or (label, left, right): a
+        read-only view built on each access."""
+        lefts, rights = children(self.labels)
         vertex = iter(self.vertices).__next__
         return tuple((LEAF, vertex()) if tag == LEAF_TAG else (chr(tag), lt, rt)
                      for tag, lt, rt in zip(self.labels, lefts, rights))
@@ -102,7 +112,6 @@ def from_nodes(nodes: Iterable[tuple], root: int) -> DecompTree:
     if root != len(nodes) - 1:
         raise TreeError(f"root {root} is not the last of {len(nodes)} node(s)")
     t = DecompTree(bytes(labels), vertices)
-    require_valid(t)
     for i, (nd, implied) in enumerate(zip(nodes, t.nodes)):
         if tuple(nd) != implied:
             raise TreeError(f"node {i}: children {nd[1:]} are not the roots of the "
@@ -110,12 +119,11 @@ def from_nodes(nodes: Iterable[tuple], root: int) -> DecompTree:
     return t
 
 
-def validate(t: DecompTree) -> list[str]:
-    """Check the structural invariants; empty list means ok. The labels
-    are L, T, F or A; n leaves have n vertices, 0..n-1, and 2n-1 nodes; and
-    each internal node finds two finished subtrees before it. Passes of C
-    check the labels, one loop the vertices; `children` names a bad node."""
-    labels, vertices = t.labels, t.vertices
+def validate(labels: bytes, vertices: Sequence[int]) -> list[str]:
+    """Check the columns' structural invariants; empty list means ok. The
+    labels are L, T, F or A; n leaves have n vertices, 0..n-1, and 2n-1
+    nodes; each internal node finds two finished subtrees before it. C
+    checks the labels, one loop the vertices; `children` names a bad node."""
     stray = labels.translate(None, b"LTFA")
     if stray:
         i = labels.index(stray[0])
@@ -126,7 +134,7 @@ def validate(t: DecompTree) -> list[str]:
         violations.append(f"{n_leaves} leaves but {n} leaf vertices")
     if len(labels) != 2 * n_leaves - 1 or min(accumulate(map(_STEP.__getitem__, labels))) < 1:
         try:
-            children(t)  # which raises, naming the node at fault
+            children(labels)  # which raises, naming the node at fault
         except TreeError as exc:
             violations.append(str(exc))
     seen = bytearray(n)
@@ -142,22 +150,16 @@ def validate(t: DecompTree) -> list[str]:
     return violations
 
 
-def require_valid(t: DecompTree) -> None:
-    violations = validate(t)
-    if violations:
-        raise TreeError("; ".join(violations))
-
-
-def children(t: DecompTree) -> tuple[array, array]:
+def children(labels: bytes) -> tuple[array, array]:
     """The columns of left and right child ids, 0 for a leaf, from one pass
     with the roots of the finished subtrees on a stack. TreeError names the
     node where the labels are not one tree in post-order."""
-    n_nodes = len(t.labels)
+    n_nodes = len(labels)
     lefts, rights = array("i", bytes(4 * n_nodes)), array("i", bytes(4 * n_nodes))
     roots: list[int] = []
     push, pop = roots.append, roots.pop
     try:
-        for i, tag in enumerate(t.labels):
+        for i, tag in enumerate(labels):
             if tag == LEAF_TAG:
                 push(i)
             else:
@@ -181,7 +183,7 @@ def twin_sets(t: DecompTree) -> Iterator[tuple]:
     its own. A leaf's is [vertex], an "A" node keeps its left child's, and
     a "T" or "F" node appends the shorter child list to the longer (ts)
     once the item is used, so a chain of joins costs linear time and ts is
-    whole once the walk has moved past it. `t` must be valid.
+    whole once the walk has moved past it.
     """
     stack: list[list] = []  # the lists of the finished subtrees, the right one on top
     vertex = iter(t.vertices).__next__
@@ -207,7 +209,6 @@ def expand(t: DecompTree) -> tuple[Graph, tuple[int, ...]]:
     their neighbour lists, with no object per edge: two leaves meet at
     exactly one node, so no edge comes twice.
     """
-    require_valid(t)
     adj: list[list[int]] = [[] for _ in range(t.n_leaves)]
     for _, tag, ts_l, ts_r, ts in twin_sets(t):
         if tag == TRUE_TWIN_TAG or tag == ATTACH_TAG:
@@ -223,7 +224,7 @@ def edge_count(t: DecompTree) -> int:
     """Edge count of the tree's expansion without building it, from the
     label column alone: each T or A node adds a biclique between its
     children's twin sets. The twin-set sizes of the finished subtrees are
-    ints on a stack, the last one's in `top`. `t` must be valid."""
+    ints on a stack, the last one's in `top`."""
     sizes: list[int] = []
     push, pop = sizes.append, sizes.pop
     leaf, attach, true_twin = LEAF_TAG, ATTACH_TAG, TRUE_TWIN_TAG
@@ -293,7 +294,8 @@ def generate(
 def renumber(labels: Sequence[int], lefts: Sequence[int], rights: Sequence[int],
              root: int) -> DecompTree:
     """The tree below `root` of columns whose nodes come in any order, a
-    leaf keeping its vertex in `lefts`, laid out in post-order."""
+    leaf keeping its vertex in `lefts`, laid out in post-order. Unchecked:
+    the caller's nodes below `root` must be a tree on the leaves 0..n-1."""
     # popping node, right, left visits the nodes in reverse post-order
     out = bytearray()
     vertices = array("i")
@@ -309,7 +311,7 @@ def renumber(labels: Sequence[int], lefts: Sequence[int], rights: Sequence[int],
             stack.append(rights[old])
     out.reverse()
     vertices.reverse()
-    return DecompTree(bytes(out), vertices)
+    return DecompTree._trusted(bytes(out), vertices)
 
 
 # --- JSON tree file format -------------------------------------------------
@@ -327,9 +329,8 @@ def dumps(t: DecompTree) -> str:
     order of `vertices`. The pieces are joined into a chunk once 2**16
     have gathered, which keeps the memory near the text's size.
     """
-    require_valid(t)
     labels = t.labels
-    lefts, rights = children(t)
+    lefts, rights = children(labels)
     vertex = iter(t.vertices).__next__
     opening = {tag: '{"op": "%c", "l": ' % tag for tag in LABEL_TAGS}
     chunks: list[str] = []
@@ -430,8 +431,8 @@ def loads(text: str | bytes) -> DecompTree:
     Python step per event fills the labels: each open node keeps its label,
     and a mark once its separator has come, on a stack, and takes its id
     when it closes, so the nodes come out in post-order and files of any
-    nesting depth load. A grammar error names
-    the text offset, a structure error the node or the leaf vertex.
+    nesting depth load. A grammar error names the text offset, a structure
+    error the node or the leaf vertex.
     """
     if isinstance(text, str):
         try:
@@ -517,4 +518,4 @@ def loads(text: str | bytes) -> DecompTree:
         raise TreeError(f"the text goes on after the root, node {i - 1}") from None
     if stack or not i:
         raise TreeError(f"tree JSON ends early at offset {pos}")
-    return DecompTree(bytes(labels), vertices)
+    return DecompTree._trusted(bytes(labels), vertices)

@@ -14,13 +14,14 @@ mty_pr); MIN .. MTY_PR name its indices. The three combine functions are
 the one definition of the rules: each unpacks its children's states and
 returns a new tuple, which `_check` tests against the curve's invariants.
 `solve` runs them in one forward pass over the tree's labels, with the
-states of the finished subtrees on a stack. Equal combine inputs (label,
-left state, right state) share one result: a memo of at most MEMO_LIMIT
-entries per call, cleared when full, hands a node the state already built
-for equal inputs, which is not combined or checked again. All leaves share
-one state. By default `solve` also lists every node's state, which the
-witness reads; the count path (`keep_states=False`) lists none, so it keeps
-one state per open subtree, besides the memo's.
+states of the finished subtrees on a stack; a `DecompTree` is valid by
+construction, so it checks no tree. Equal combine inputs (label, left
+state, right state) share one result: a memo of at most MEMO_LIMIT entries
+per call, cleared when full, hands a node the state already built for equal
+inputs, which is not combined or checked again. All leaves share one state.
+By default `solve` also lists every node's state, which the witness reads;
+the count path (`keep_states=False`) lists none, so it keeps one state per
+open subtree, besides the memo's.
 """
 
 from __future__ import annotations
@@ -175,15 +176,13 @@ _COMBINE = {
 
 def solve(t: DecompTree, want_witness: bool = False, *,
           keep_states: bool = True) -> SolveResult:
-    """Solve a valid tree; TreeError if it is not. With keep_states false
-    and no witness wanted, the result's `states` is None: no per-node list
-    is built, and a finished subtree's state is freed once its parent's
-    exists, unless the memo holds it."""
-    dectree.require_valid(t)
+    """Solve the tree. With keep_states false and no witness wanted, the
+    result's `states` is None: no per-node list is built, and a finished
+    subtree's state is freed once its parent's exists, unless the memo
+    holds it."""
     keep_states = keep_states or want_witness
-    # a valid tree lists children before parents, so one forward pass
-    # solves it; this loop runs a couple of million times for benchmark-sized
-    # trees, so no method calls inside
+    # children come before parents, so one forward pass solves the tree; the
+    # loop runs millions of times on benchmark trees, so no method calls in it
     states: Optional[list[NodeState]] = [] if keep_states else None
     # without the list, a sink that drops each state, at the cost of the append
     append = states.append if keep_states else deque(maxlen=0).append

@@ -113,10 +113,10 @@ def _merge(a: list, b: list) -> list:
 
 def _certificate(t: DecompTree, states: Sequence[NodeState],
                  kids: tuple) -> list[tuple[int, int, int]]:
-    """The pairs (node, u, v) of a minimum paired-dominating set of a valid
+    """The pairs (node, u, v) of a minimum paired-dominating set of the
     tree's graph: u and v are matched, and `node` is the T or A node whose
     biclique joins them (u on its left, v on its right). `kids` is
-    `dectree.children(t)`."""
+    `children(t.labels)`."""
     labels = t.labels
     lefts, rights = kids
     n_nodes = len(labels)
@@ -170,7 +170,7 @@ def _check(t: DecompTree, pairs: Sequence[tuple[int, int, int]], kids: tuple) ->
     tree's graph on distinct vertices that dominate it. u and v are adjacent
     when the T or A node's left child's twin set holds u and its right
     child's holds v; v is dominated when it is in D or a D vertex outside a
-    subtree sees a twin set that holds v. `kids` is `dectree.children(t)`."""
+    subtree sees a twin set that holds v. `kids` is `children(t.labels)`."""
     labels, vertices = t.labels, t.vertices
     lefts, rights = kids
     n_nodes = len(labels)
@@ -223,8 +223,8 @@ def _check(t: DecompTree, pairs: Sequence[tuple[int, int, int]], kids: tuple) ->
 
 
 def reconstruct_witness(t: DecompTree, states: Sequence[NodeState]) -> tuple[int, ...]:
-    """A minimum paired-dominating set of a valid tree's graph, sorted."""
-    kids = children(t)
+    """A minimum paired-dominating set of the tree's graph, sorted."""
+    kids = children(t.labels)
     pairs = _certificate(t, states, kids)
     _check(t, pairs, kids)
     gamma_p = states[t.root][GAMMA_P]

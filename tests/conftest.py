@@ -109,7 +109,7 @@ def label(t, node):
 
 
 def children(t, node):
-    lefts, rights = dectree.children(t)
+    lefts, rights = dectree.children(t.labels)
     return lefts[node], rights[node]
 
 
@@ -141,7 +141,7 @@ def reference_states(t):
     """Per-node solver states from a plain loop that combines every internal
     node from its children's states, with no memo."""
     states = []
-    for tag, left, right in zip(t.labels, *dectree.children(t)):
+    for tag, left, right in zip(t.labels, *dectree.children(t.labels)):
         if tag == dectree.LEAF_TAG:
             states.append(dp.leaf_state())
         else:

@@ -338,6 +338,12 @@ def test_check_pass_and_failures(capsys, data_dir, tmp_path):
     (["bench", "--sizes", "0"], "--sizes needs positive integers"),
     (["check", "--graph", "{data}/ex7.txt", "--set", "1,x"],
      "expected comma-separated vertex ids, got '1,x'"),
+    (["bench", "--sizes", "10k"], "--sizes needs positive integers"),
+    (["oracle", "--graph", "{data}/ex7.txt", "--ts", "0,9"], "twin set [0, 9] not within 0..6"),
+    (["oracle", "--graph", "{data}/ex7.txt", "--ts", "0", "--k", "5"],
+     "k=5 out of range [0, 1]"),
+    (["oracle", "--graph", "{data}/k1.txt", "--ts", ""], "gamma_k undefined for every k"),
+    (["oracle", "--graph", "{data}/ex7.txt", "--k", "2"], "--k needs --ts"),
 ])
 def test_usage_errors_exit_2(capsys, tmp_path, data_dir, argv):
     args, message = argv
@@ -345,6 +351,30 @@ def test_usage_errors_exit_2(capsys, tmp_path, data_dir, argv):
     assert (code, out) == (2, "")
     assert err.startswith("error: " + message) and "Traceback" not in err
     assert not any(tmp_path.iterdir())
+
+
+def test_cli_never_validates_a_tree(capsys, tmp_path, monkeypatch):
+    # the constructor looks `validate` up at call time, so the wrapper sees
+    # every check; the readers and builders the CLI uses are valid by
+    # construction and make none
+    calls = []
+    validate = dectree.validate
+
+    def counted(labels, vertices):
+        calls.append(len(labels))
+        return validate(labels, vertices)
+
+    monkeypatch.setattr(dectree, "validate", counted)
+    tree, graph = tmp_path / "t.json", tmp_path / "g.txt"
+    for argv in (["gen", "--n", "300", "--seed", "2", "--out-tree", str(tree),
+                  "--out-graph", str(graph)],
+                 ["solve", "--tree", str(tree), "--json", "--witness"],
+                 ["solve", "--graph", str(graph), "--json", "--witness"]):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and calls == [], argv
+    assert json.loads(out)["witness"]
+    dectree.from_nodes((leaf(0), leaf(1), ("A", 0, 1)), 2)
+    assert calls == [3]
 
 
 def _parse_exit(capsys, parser, argv):

@@ -53,26 +53,25 @@ def test_decomp_tree_compares_and_hashes_by_fields():
 
 
 def test_validate_ok(ex7_tree):
-    assert dectree.validate(ex7_tree) == []
+    assert dectree.validate(ex7_tree.labels, ex7_tree.vertices) == []
 
 
 def test_validate_duplicate_leaf_vertex():
     with pytest.raises(TreeError, match="node 1: leaf vertex 0 is repeated"):
         from_nodes((leaf(0), leaf(0), ("T", 0, 1)), 2)
-    assert any("node 1" in v for v in dectree.validate(DecompTree(b"LLT", array("i", [0, 0]))))
+    assert any("node 1" in v for v in dectree.validate(b"LLT", array("i", [0, 0])))
 
 
 def test_validate_names_the_leaf_of_a_bad_vertex_after_the_first():
     for vertices, v in (([0, 1, 5], 5), ([0, 1, 1], 1)):
-        t = DecompTree(b"LLTLF", array("i", vertices))
-        assert dectree.validate(t) == [f"node 3: leaf vertex {v} is repeated or "
-                                       "outside 0..2"]
+        assert dectree.validate(b"LLTLF", array("i", vertices)) == [
+            f"node 3: leaf vertex {v} is repeated or outside 0..2"]
 
 
 def test_validate_shared_child():
     with pytest.raises(TreeError, match="node 1"):
         from_nodes((leaf(0), ("T", 0, 0)), 1)
-    assert any("node 1" in v for v in dectree.validate(DecompTree(b"LT", array("i", [0]))))
+    assert any("node 1" in v for v in dectree.validate(b"LT", array("i", [0])))
 
 
 def test_validate_rejects_broken_post_order():
@@ -98,8 +97,7 @@ def test_validate_rejects_broken_post_order():
 
 
 def test_validate_bad_label():
-    t = DecompTree(b"LLX", array("i", [0, 1]))
-    assert dectree.validate(t)
+    assert dectree.validate(b"LLX", array("i", [0, 1]))
 
 
 def test_malformed_nodes_are_reported():
@@ -116,13 +114,11 @@ def test_malformed_nodes_are_reported():
                   (leaf(-1), leaf(1), ("T", 0, 1))):
         with pytest.raises(TreeError):
             from_nodes(nodes, len(nodes) - 1)
-    for t in (DecompTree(b"", array("i")),
-              DecompTree(b"LLT", array("i", [0, 2])),
-              DecompTree(b"LLT", array("i", [-1, 1])),
-              DecompTree(b"LLT", array("i", [0]))):  # columns of unequal length
-        assert dectree.validate(t)
+    for labels, vertices in ((b"", []), (b"LLT", [0, 2]), (b"LLT", [-1, 1]),
+                             (b"LLT", [0])):  # columns of unequal length
+        assert dectree.validate(labels, array("i", vertices))
         with pytest.raises(TreeError):
-            dectree.require_valid(t)
+            DecompTree(labels, array("i", vertices))
 
 
 def test_columns_take_at_most_4_bytes_per_node():
@@ -148,12 +144,25 @@ def _reference_validate(labels, vertices):
             and set(vertices) == set(range(n)))
 
 
+def _validate_and_construct(labels, vertices):
+    """The columns' `validate` violations, once `DecompTree` has raised
+    them, joined by "; ", if there are any, and built the tree if not."""
+    violations = dectree.validate(labels, vertices)
+    try:
+        t = DecompTree(labels, vertices)
+    except TreeError as exc:
+        assert str(exc) == "; ".join(violations) and violations
+    else:
+        assert not violations and (t.labels, t.vertices) == (labels, vertices)
+    return violations
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.sampled_from(b"LTFA?"), max_size=12),
        st.lists(st.integers(-1, 7), max_size=7))
 def test_validate_agrees_with_a_reference_on_random_columns(labels, vertices):
-    t = DecompTree(bytes(labels), array("i", vertices))
-    assert (dectree.validate(t) == []) == _reference_validate(bytes(labels), vertices)
+    violations = _validate_and_construct(bytes(labels), array("i", vertices))
+    assert (violations == []) == _reference_validate(bytes(labels), vertices)
 
 
 def _mutants(t, rng):
@@ -179,10 +188,11 @@ def _mutants(t, rng):
        st.randoms(use_true_random=False))
 def test_validate_agrees_with_a_reference_on_mutated_trees(n, seed, weights, rng):
     t = dectree.generate(n, seed, weights)
-    assert dectree.validate(t) == [] and _reference_validate(t.labels, list(t.vertices))
+    assert dectree.validate(t.labels, t.vertices) == []
+    assert _reference_validate(t.labels, list(t.vertices))
     for labels, vertices in _mutants(t, rng):
-        mutant = DecompTree(bytes(labels), array("i", vertices))
-        assert (dectree.validate(mutant) == []) == _reference_validate(bytes(labels), vertices)
+        violations = _validate_and_construct(bytes(labels), array("i", vertices))
+        assert (violations == []) == _reference_validate(bytes(labels), vertices)
 
 
 @pytest.mark.parametrize("shape", [*LABEL_MIXES, "path", "star", "clique"])
@@ -196,7 +206,7 @@ def test_edge_count_equals_the_expansion(shape):
 def _reference_expansion(t):
     """The expansion as a set of edges: each node copies its twin list from
     its children's, and each T or A node adds the pairs across them."""
-    lefts, rights = dectree.children(t)
+    lefts, rights = dectree.children(t.labels)
     vertex = iter(t.vertices).__next__
     twins, edges = [], set()
     for i, tag in enumerate(t.labels):
@@ -399,7 +409,7 @@ def test_loads_accepts_every_key_order_and_rejects_mutants(n, seed, rng):
     t = dectree.generate(n, seed)
     again = dectree.loads(_render(t, rng))
     assert again == t
-    assert dectree.validate(again) == []
+    assert dectree.validate(again.labels, again.vertices) == []
     nodes = t.nodes
     internal = [i for i, nd in enumerate(nodes) if nd[0] != "leaf"]
     # two leaves in a row: the duplicate mutant gives the second the first's vertex
@@ -508,7 +518,7 @@ def test_loads_refuses_or_round_trips_every_mutant(n, seed, rng):
         except TreeError:
             assert expected is None, mutant
             continue
-        assert dectree.validate(t) == []
+        assert dectree.validate(t.labels, t.vertices) == []
         assert dectree.loads(dectree.dumps(t)) == t
         assert t == expected, mutant
 

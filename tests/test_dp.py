@@ -192,7 +192,7 @@ def test_shared_states_when_the_memo_is_cleared(shape):
     t = caterpillar(10_000, shape)
     ref = reference_states(t)
     inputs = {(tag, ref[left], ref[right])
-              for tag, left, right in zip(t.labels, *dectree.children(t))
+              for tag, left, right in zip(t.labels, *dectree.children(t.labels))
               if tag != dectree.LEAF_TAG}
     assert len(inputs) > 2 * dp.MEMO_LIMIT
     assert solve(t).states == ref

@@ -76,7 +76,7 @@ def test_decompose_many_components_round_trips_through_json():
               build_graph(8, [(0, 1), (2, 3), (3, 4), (6, 7)]),
               many):
         t = decompose(g)
-        assert dectree.validate(t) == []
+        assert dectree.validate(t.labels, t.vertices) == []
         again = dectree.loads(dectree.dumps(t))
         assert again == t
         assert _expands_equal(again, g)

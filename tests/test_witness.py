@@ -71,7 +71,7 @@ def test_check_rejects_corrupted_certificates():
     bowtie = from_nodes((leaf(0), leaf(3), ("T", 0, 1), leaf(1), leaf(2), leaf(4),
                          ("T", 4, 5), ("A", 3, 6), ("T", 2, 7)), 8)
     for t in (two_k2, p3, bowtie):
-        kids = dectree.children(t)
+        kids = dectree.children(t.labels)
         _check(t, _certificate(t, dp.solve(t).states, kids), kids)
     for t, pairs, error in [
         (two_k2, [(2, 0, 1)], "vertex [23] is not dominated"),  # a pair dropped
@@ -82,7 +82,7 @@ def test_check_rejects_corrupted_certificates():
         (p3, [(4, 0, 2)], r"node 4: pair \(0, 2\) is not an edge"),  # 2 left the TS
     ]:
         with pytest.raises(WitnessError, match=error):
-            _check(t, pairs, dectree.children(t))
+            _check(t, pairs, dectree.children(t.labels))
 
 
 def test_witness_at_100k_leaves():
@@ -127,7 +127,7 @@ def _check_every_split(t):
     allow, and check the split against the curves; return the request count."""
     states = dp.solve(t).states
     requests = 0
-    for i, (tag, left, right) in enumerate(zip(t.labels, *dectree.children(t))):
+    for i, (tag, left, right) in enumerate(zip(t.labels, *dectree.children(t.labels))):
         if tag == LEAF_TAG:
             continue
         s, sl, sr = states[i], states[left], states[right]
