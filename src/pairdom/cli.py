@@ -212,11 +212,14 @@ def _parse_weights(raw: str) -> list[float]:
 
 def cmd_check(args) -> int:
     g = _load_graph(args.graph)
-    ids = _parse_ids(args.set)
-    for v in ids:
+    seen: set[int] = set()
+    for v in _parse_ids(args.set):
         if not (0 <= v < g.n):
             raise CliError(f"vertex {v} out of range for n={g.n}")
-    d = sorted(set(ids))
+        if v in seen:
+            raise CliError(f"vertex {v} is listed more than once")
+        seen.add(v)
+    d = sorted(seen)
     if len(d) % 2 == 1:
         _print("fail: odd set size")
         return EXIT_CHECK_FAILED

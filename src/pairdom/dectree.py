@@ -10,9 +10,11 @@ is the last node. Each walk is one loop, so no depth touches the call
 stack: children-first walks keep the finished subtrees on a stack or read
 the right child as i-1, and parents-first walks (`dumps`, the witness,
 the `nodes` view) take child ids from one `children` pass. None of them
-checks the tree: a `DecompTree` is valid by construction.
-`DecompTree.nodes` shows the tree as tuples, ("leaf", vertex) or (label,
-left, right); `from_nodes`, its inverse, is where explicit child ids arrive.
+checks the tree: a `DecompTree` is valid by construction. The trees that
+`generate` and recognition grow by merging subtrees are laid out by
+`_from_merges`. `DecompTree.nodes` shows the tree as tuples, ("leaf",
+vertex) or (label, left, right); `from_nodes`, its inverse, is where
+explicit child ids arrive.
 """
 
 from __future__ import annotations
@@ -51,8 +53,8 @@ class TreeError(ValueError):
 class DecompTree(Record):
     """A valid tree: `DecompTree(labels, vertices)` raises TreeError with
     `validate`'s violations, joined by "; ", unless the columns are one.
-    `loads` and `renumber` skip the check: their columns are a tree by how
-    they are made. As a hashable `Record`, it is not mutated once built;
+    `loads` and `_from_merges` skip the check: their columns are a tree by
+    how they are made. As a hashable `Record`, it is not mutated once built;
     `vertices` is an `array('i')`, as no read-only view stops reassignment."""
     __slots__ = ("labels", "vertices")
 
@@ -270,9 +272,8 @@ def generate(
     # random.choices' pick, with the cumulative weights built once
     cum, root_cum = list(accumulate(weights)), list(accumulate(connected))
     rng = random.Random(seed)
-    labels = bytearray([LEAF_TAG]) * n
-    lefts, rights = array("i", range(n)), array("i", bytes(4 * n))
-    roots = list(range(n))
+    tags, absorbed, keepers = bytearray(), array("i"), array("i")
+    roots = list(range(n))  # each subtree is named by its first leaf
     while len(roots) > 1:
         i = rng.randrange(len(roots))
         roots[i], roots[-1] = roots[-1], roots[i]
@@ -284,34 +285,38 @@ def generate(
         tag = LABEL_TAGS[bisect(c, rng.random() * c[-1], 0, 2)]
         if tag == ATTACH_TAG and rng.random() < 0.5:
             a, b = b, a
-        roots.append(len(labels))
-        labels.append(tag)
-        lefts.append(a)
-        rights.append(b)
-    return renumber(labels, lefts, rights, roots[0])
+        roots.append(a)
+        tags.append(tag)
+        absorbed.append(b)
+        keepers.append(a)
+    return _from_merges(n, tags, absorbed, keepers)
 
 
-def renumber(labels: Sequence[int], lefts: Sequence[int], rights: Sequence[int],
-             root: int) -> DecompTree:
-    """The tree below `root` of columns whose nodes come in any order, a
-    leaf keeping its vertex in `lefts`, laid out in post-order. Unchecked:
-    the caller's nodes below `root` must be a tree on the leaves 0..n-1."""
-    # popping node, right, left visits the nodes in reverse post-order
-    out = bytearray()
-    vertices = array("i")
-    stack = [root]
-    while stack:
-        old = stack.pop()
-        tag = labels[old]
-        out.append(tag)
-        if tag == LEAF_TAG:
-            vertices.append(lefts[old])
+def _from_merges(n: int, tags: Sequence[int], absorbed: Sequence[int],
+                 keepers: Sequence[int]) -> DecompTree:
+    """The tree that merges make of the leaves 0..n-1, unchecked: they must
+    join all n subtrees into one. Subtree v starts as leaf v and keeps that
+    name; merge s puts a `tags[s]` node over subtrees `keepers[s]` (left)
+    and `absorbed[s]` (right). As post(node(tag, W, U)) = post(W) + post(U)
+    + tag, each subtree's block is a linked list of node ids (leaf v is v,
+    merge s is n+s) that starts at the leaf naming it: `after` holds each
+    node's successor, `last` each block's end. One walk reads the root's."""
+    total = n + len(tags)
+    after = array("i", bytes(4 * total))
+    last = array("i", range(n))
+    for node, w, u in zip(range(n, total), keepers, absorbed):
+        after[last[w]] = u
+        after[last[u]] = node
+        last[w] = node
+    labels, vertices = bytearray([LEAF_TAG]) * total, array("i")
+    x = keepers[-1] if tags else 0
+    for i in range(total):
+        if x < n:
+            vertices.append(x)
         else:
-            stack.append(lefts[old])
-            stack.append(rights[old])
-    out.reverse()
-    vertices.reverse()
-    return DecompTree._trusted(bytes(out), vertices)
+            labels[i] = tags[x - n]
+        x = after[x]
+    return DecompTree._trusted(bytes(labels), vertices)
 
 
 # --- JSON tree file format -------------------------------------------------

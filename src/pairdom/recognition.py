@@ -6,8 +6,9 @@ by repeatedly removing a pendant vertex, a true twin or a false twin
 Vertices without neighbours have equal (empty) open neighbourhoods, so
 they are false twins: a disconnected graph needs no special case, as the
 leftover vertex of each pruned component is a false twin of the others.
-`decompose` prunes the whole graph in one worklist pass and replays the
-removals in reverse as leaf replacements. Any pruning order replays into an
+`decompose` prunes the whole graph in one worklist pass. Removing u with
+anchor w merges u's subtree into w's under a node of the removal's label,
+and `dectree._from_merges` lays the merges out. Any pruning order gives an
 exact tree, so the first removal found is taken.
 
 Twins are found by hashing neighbourhoods, the hashing form of the linear
@@ -31,6 +32,7 @@ returned tree reproduces the input adjacency exactly.
 from __future__ import annotations
 
 import random
+from array import array
 from typing import Sequence
 
 from . import dectree
@@ -53,24 +55,6 @@ class DecomposeError(RuntimeError):
 
 # fixed, so that the same graph always gets the same tree
 _KEY_SEED = 0x9E3779B97F4A7C15
-
-
-def _build_tree(last: int, steps: list[tuple[int, int, int]]) -> DecompTree:
-    """Replay removals in reverse, each overwriting the anchor's current leaf
-    with a node over new leaves for the anchor and the removed vertex. A
-    step is (label byte of that node, removed, anchor)."""
-    leaf = dectree.LEAF_TAG
-    labels, lefts, rights = [leaf], [last], [0]  # a leaf's vertex is its left
-    at = [0] * (len(steps) + 1)  # vertex -> index of its current leaf
-    for tag, removed, anchor in reversed(steps):
-        i = len(labels)
-        j = at[anchor]
-        labels[j], lefts[j], rights[j] = tag, i, i + 1
-        labels += (leaf, leaf)
-        lefts += (anchor, removed)
-        rights += (0, 0)
-        at[anchor], at[removed] = i, i + 1
-    return dectree.renumber(labels, lefts, rights, 0)
 
 
 def _unfile(buckets: dict[int, list], hv: int, v: int) -> None:
@@ -96,34 +80,36 @@ def _decompose_adj(adj: dict[int, set], key: Sequence[int]) -> DecompTree:
     true_bk: dict[int, list] = {}   # h(v) + key(v) -> filed vertices
     work = list(reversed(adj))      # popped smallest id first
     queued = set(work)
-    steps: list[tuple[int, int, int]] = []
+    tags, absorbed, keepers = bytearray(), array("i"), array("i")
     while len(adj) > 1:
         if not work:
             raise NotDistanceHereditary(v for v, nv in adj.items() if nv)
         u = work.pop()
         queued.remove(u)
         nu, hu, ku = adj[u], h[u], key[u]
-        step = None
+        tag = None
         if len(nu) == 1:
-            step = (dectree.ATTACH_TAG, u, next(iter(nu)))
+            tag, (w,) = dectree.ATTACH_TAG, nu
         else:
             # a bucket hit only proposes a twin; the actual sets decide.
             # Adjacent u and w are true twins exactly when their open
             # neighbourhoods differ by u and w alone.
             for w in true_bk.get(hu + ku, ()):
                 if nu ^ adj[w] == {u, w}:
-                    step = (dectree.TRUE_TWIN_TAG, u, w)
+                    tag = dectree.TRUE_TWIN_TAG
                     break
             else:
                 for w in false_bk.get(hu, ()):
                     if adj[w] == nu:
-                        step = (dectree.FALSE_TWIN_TAG, u, w)
+                        tag = dectree.FALSE_TWIN_TAG
                         break
-        if step is None:
+        if tag is None:
             false_bk.setdefault(hu, []).append(u)
             true_bk.setdefault(hu + ku, []).append(u)
             continue
-        steps.append(step)
+        tags.append(tag)
+        absorbed.append(u)
+        keepers.append(w)
         del adj[u]
         for w in nu:
             adj[w].remove(u)
@@ -133,8 +119,7 @@ def _decompose_adj(adj: dict[int, set], key: Sequence[int]) -> DecompTree:
                 queued.add(w)
                 work.append(w)
             h[w] -= ku
-    (last,) = adj
-    return _build_tree(last, steps)
+    return dectree._from_merges(len(key), tags, absorbed, keepers)
 
 
 def decompose(g: Graph) -> DecompTree:

@@ -1,4 +1,5 @@
 import json
+from array import array
 from pathlib import Path
 
 import pytest
@@ -62,7 +63,7 @@ def has_edge(g, u, v):
     return v in g.adjacency[u]
 
 
-# a pruning step is (label byte of the node its replay creates, removed, anchor)
+# a pruning step is (label byte of the node its merge creates, removed, anchor)
 _KIND_ORDER = {dectree.ATTACH_TAG: 0,
                dectree.TRUE_TWIN_TAG: 1,
                dectree.FALSE_TWIN_TAG: 2}
@@ -111,6 +112,25 @@ def label(t, node):
 def children(t, node):
     lefts, rights = dectree.children(t.labels)
     return lefts[node], rights[node]
+
+
+def post_order(labels, lefts, rights, root):
+    """The checked tree below `root` of node columns in any order, a leaf
+    keeping its vertex in `lefts`: a layout reference independent of
+    `dectree`'s builders. Popping node, right, left visits the nodes in
+    reverse post-order."""
+    out, vertices = bytearray(), array("i")
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        out.append(labels[node])
+        if labels[node] == dectree.LEAF_TAG:
+            vertices.append(lefts[node])
+        else:
+            stack += (lefts[node], rights[node])
+    out.reverse()
+    vertices.reverse()
+    return dectree.DecompTree(bytes(out), vertices)
 
 
 def leaf_vertex(t, node):

@@ -314,6 +314,9 @@ def test_check_pass_and_failures(capsys, data_dir, tmp_path):
     assert code == 1
     code, _, _ = run(capsys, "check", "--graph", ex7, "--set", "1,99")
     assert code == 2
+    for repeated in ("2,3,3", "3,3"):  # a set lists each vertex once
+        code, out, err = run(capsys, "check", "--graph", ex7, "--set", repeated)
+        assert (code, out) == (2, "") and "vertex 3 is listed more than once" in err
     path = tmp_path / "path.txt"
     path.write_text("3000 2999\n" + "".join(f"{v} {v + 1}\n" for v in range(2999)))
     code, out, _ = run(capsys, "check", "--graph", str(path),

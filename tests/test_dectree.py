@@ -8,7 +8,8 @@ from array import array
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import LABEL_MIXES, caterpillar, children, has_edge, is_leaf, leaf, twin_set
+from conftest import (LABEL_MIXES, caterpillar, children, has_edge, is_leaf, leaf,
+                      post_order, twin_set)
 from pairdom import dectree
 from pairdom.dectree import DecompTree, TreeError, from_nodes
 from pairdom.graph import Graph
@@ -284,7 +285,9 @@ def test_generate_deterministic():
 
 
 def _generate_with_choices(n, seed, weights):
-    """`generate` as a plain loop that draws each label with `rng.choices`."""
+    """`generate` as a plain loop that draws each label with `rng.choices`
+    and names each merged subtree by a new node id, laid out by the
+    test-only reference `post_order`."""
     rng = random.Random(seed)
     labels, lefts, rights = [dectree.LEAF_TAG] * n, list(range(n)), [0] * n
     roots = list(range(n))
@@ -304,7 +307,7 @@ def _generate_with_choices(n, seed, weights):
         labels.append(tag)
         lefts.append(a)
         rights.append(b)
-    return dectree.renumber(labels, lefts, rights, roots[0])
+    return post_order(labels, lefts, rights, roots[0])
 
 
 def test_generate_draws_labels_as_random_choices_does():
@@ -314,6 +317,45 @@ def test_generate_draws_labels_as_random_choices_does():
             for n in (1, 2, 3, 50, 300):
                 assert (dectree.generate(n, seed, weights)
                         == _generate_with_choices(n, seed, weights)), (weights, seed, n)
+
+
+def _merged_by_reference(n, tags, absorbed, keepers):
+    """`_from_merges`' tree from explicit node columns: merge s is node
+    n+s, and each subtree name maps to its current root node."""
+    labels, lefts, rights = [dectree.LEAF_TAG] * n, list(range(n)), [0] * n
+    root = list(range(n))
+    for tag, u, w in zip(tags, absorbed, keepers):
+        labels.append(tag)
+        lefts.append(root[w])
+        rights.append(root[u])
+        root[w] = len(labels) - 1
+    return post_order(labels, lefts, rights, root[keepers[-1]] if tags else 0)
+
+
+def test_from_merges_lays_out_as_the_reference():
+    rng = random.Random(3)
+    cases = []
+    for n in (1, 2, 3, 50, 300):
+        for _ in range(20):
+            live = list(range(n))
+            tags, absorbed, keepers = bytearray(), array("i"), array("i")
+            while len(live) > 1:
+                w, u = rng.sample(live, 2)
+                live.remove(u)
+                tags.append(rng.choice(dectree.LABEL_TAGS))
+                absorbed.append(u)
+                keepers.append(w)
+            cases.append((n, tags, absorbed, keepers))
+    # two chains of 10^5 merges: one keeper absorbs every other leaf, and
+    # each fresh leaf absorbs the subtree grown so far
+    n = 100_001
+    chain = bytes(rng.choice(dectree.LABEL_TAGS) for _ in range(n - 1))
+    cases.append((n, chain, array("i", range(1, n)), array("i", [0] * (n - 1))))
+    cases.append((n, chain, array("i", range(n - 1)), array("i", range(1, n))))
+    for i, (n, tags, absorbed, keepers) in enumerate(cases):
+        t = dectree._from_merges(n, tags, absorbed, keepers)
+        assert dectree.validate(t.labels, t.vertices) == [], i
+        assert t == _merged_by_reference(n, tags, absorbed, keepers), i
 
 
 def test_generate_rejects_bad_args():

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -140,6 +141,23 @@ def _relabeled(g, seed):
     perm = list(range(g.n))
     random.Random(seed).shuffle(perm)
     return build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def test_generate_and_decompose_match_golden_digests():
+    # SHA-256 over the columns of every tree, pinning the exact trees
+    # (random stream, merge order and layout), not only that they are valid
+    generated, decomposed = hashlib.sha256(), hashlib.sha256()
+    for mix in LABEL_MIXES:
+        for seed in range(3):
+            for n in (1, 2, 50, 1000):
+                t = dectree.generate(n, seed, mix)
+                generated.update(t.labels + t.vertices.tobytes())
+                d = decompose(_relabeled(dectree.expand(t)[0], seed))
+                decomposed.update(d.labels + d.vertices.tobytes())
+    assert generated.hexdigest() == (
+        "92988f1c20a5c6b127a2c72e1e858cba565905e7e345c378aec00265113d5740")
+    assert decomposed.hexdigest() == (
+        "67ede5a0cfa584cc557aae3758b67b550c231af40f9cb61fb36397647343e87d")
 
 
 def test_decompose_scales_to_10k_vertex_graph():
