@@ -414,11 +414,10 @@ del _tag
 
 
 def _syntax_error(text: bytes, pos: int) -> TreeError:
-    j = pos
-    while j and text[j - 1] in b" \t\n\r":
-        j -= 1
+    # _SHAPE's pieces end on "}", ":" or '"' and it takes trailing whitespace
+    # only with the end of the text, so the byte before pos is no whitespace
     expected = ('"}", ", \\"r\\": <node>" or ", \\"op\\": <label>"'
-                if j and text[j - 1] in b'}"' else
+                if pos and text[pos - 1] in b'}"' else
                 'a node {"leaf": <int>} or {"op": "T"|"F"|"A", "l": ..., "r": ...}')
     got = text[pos:pos + 24].decode("ascii", "backslashreplace")
     return TreeError(f"offset {pos}: expected {expected}, got {got!r}")

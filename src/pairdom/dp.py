@@ -54,13 +54,11 @@ class DpError(RuntimeError):
 
 
 class SolveResult(Record):
-    __slots__ = ("gamma_p", "states", "witness")
+    __slots__ = ("gamma_p", "states")
 
-    def __init__(self, gamma_p: float, states: Optional[Sequence[NodeState]],
-                 witness: Optional[tuple[int, ...]]):
+    def __init__(self, gamma_p: float, states: Optional[Sequence[NodeState]]):
         self.gamma_p = gamma_p
         self.states = states  # indexed by tree node id; None unless kept
-        self.witness = witness
 
 
 def sat_add(a: float, b: float) -> float:
@@ -174,13 +172,10 @@ _COMBINE = {
 }
 
 
-def solve(t: DecompTree, want_witness: bool = False, *,
-          keep_states: bool = True) -> SolveResult:
-    """Solve the tree. With keep_states false and no witness wanted, the
-    result's `states` is None: no per-node list is built, and a finished
-    subtree's state is freed once its parent's exists, unless the memo
-    holds it."""
-    keep_states = keep_states or want_witness
+def solve(t: DecompTree, *, keep_states: bool = True) -> SolveResult:
+    """Solve the tree. With keep_states false, the result's `states` is
+    None: no per-node list is built, and a finished subtree's state is freed
+    once its parent's exists, unless the memo holds it."""
     # children come before parents, so one forward pass solves the tree; the
     # loop runs millions of times on benchmark trees, so no method calls in it
     states: Optional[list[NodeState]] = [] if keep_states else None
@@ -224,10 +219,5 @@ def solve(t: DecompTree, want_witness: bool = False, *,
             memo[key] = s
         top = s
         append(s)
-    gamma_p = top[GAMMA_P]  # the root's, the one subtree left
-    witness = None
-    if want_witness and gamma_p != INF:
-        from .witness import reconstruct_witness
-
-        witness = reconstruct_witness(t, states)
-    return SolveResult(gamma_p=gamma_p, states=states, witness=witness)
+    # top is the root's state, the one subtree left
+    return SolveResult(gamma_p=top[GAMMA_P], states=states)

@@ -53,12 +53,11 @@ def _child_needs(tag: int, need: int, ts_l: bool, pr_l: bool,
     return None
 
 
-def _split(i: int, tag: int, k: int, need: int, sl: NodeState,
-           sr: NodeState, target: int) -> tuple[int, int, int, int, int, int]:
-    """(kl, kr, need_l, need_r, gamma_kl, gamma_kr) for a k-set request
-    with `need` at node i, labelled `tag`, whose gamma_k is `target`. The
-    children's gamma values, which must add up to `target`, become their
-    own targets.
+def _split(i: int, tag: int, k: int, need: int, s: NodeState, sl: NodeState,
+           sr: NodeState) -> tuple[int, int, int, int]:
+    """(kl, kr, need_l, need_r) for a k-set request with `need` at node i,
+    labelled `tag`, of state s and children's states sl and sr. The
+    children's gamma values must add up to the node's own gamma_k.
 
     k = kl + kr at F nodes, kl - kr at A nodes (all kr are paired) and
     kl + kr - 2h at T nodes (h pairs, 0 <= h <= min(kl, kr)). A child's
@@ -91,16 +90,16 @@ def _split(i: int, tag: int, k: int, need: int, sl: NodeState,
         # (1, 1) or (2, 2) costs the same and hits both twin sets, which
         # meets any need; under cond_d2, (0, 0) is the only optimal split
         kl = kr = 1 if al != ar else 2
-    gl, gr = eval_gamma_k(sl, kl), eval_gamma_k(sr, kr)
-    if gl + gr != target:
+    target = eval_gamma_k(s, k)
+    if eval_gamma_k(sl, kl) + eval_gamma_k(sr, kr) != target:
         raise WitnessError(f"node {i}: split ({kl}, {kr}) of k={k} misses "
                            f"gamma_k={target}")
     if kl or kr:  # needs come with k = 0, so kl = kr > 0 hit both TS
-        return kl, kr, 0, 0, gl, gr
+        return kl, kr, 0, 0
     needs = _child_needs(tag, need, ts_l, pr_l, ts_r, pr_r)
     if needs is None:
         raise WitnessError(f"node {i}: no split of k=0 meets needs {need}")
-    return 0, 0, *needs, gl, gr
+    return 0, 0, *needs
 
 
 def _merge(a: list, b: list) -> list:
@@ -124,7 +123,6 @@ def _certificate(t: DecompTree, states: Sequence[NodeState],
         raise WitnessError("gamma_p is infinite: no witness exists")
     want = [0] * n_nodes  # per node: the k of its request, or PDS
     need = bytearray(n_nodes)  # HIT/DOM needs of a k = 0 request, PAIR
-    gamma = [0] * n_nodes  # per node: gamma_k of its k request, set by its parent's split
     want[t.root] = PDS
     for i, tag, left, right in zip(range(t.root, -1, -1), reversed(labels),
                                    reversed(lefts), reversed(rights)):
@@ -137,10 +135,8 @@ def _certificate(t: DecompTree, states: Sequence[NodeState],
                 continue
             k = want[i] = 0
             need[i] = PAIR if states[i][MTY_PR] else DOM
-            gamma[i] = eval_gamma_k(states[i], 0)
-        (want[left], want[right], need[left], need[right], gamma[left],
-         gamma[right]) = _split(i, tag, k, need[i] & (HIT | DOM), states[left],
-                                states[right], gamma[i])
+        want[left], want[right], need[left], need[right] = _split(
+            i, tag, k, need[i] & (HIT | DOM), states[i], states[left], states[right])
 
     pairs: list[tuple[int, int, int]] = []
     # (exempt, twin-set vertices not in D) per finished subtree, right on top

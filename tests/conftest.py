@@ -1,11 +1,13 @@
 import json
 from array import array
+from collections import namedtuple
 from pathlib import Path
 
 import pytest
 
 from pairdom import dectree, dp
 from pairdom.graph import build_graph
+from pairdom.witness import reconstruct_witness
 
 DATA = Path(__file__).parent / "data"
 
@@ -167,6 +169,17 @@ def reference_states(t):
         else:
             states.append(_COMBINE[tag](states[left], states[right]))
     return states
+
+
+Solved = namedtuple("Solved", "gamma_p states witness")
+
+
+def solve_with_witness(t):
+    """gamma_p, the per-node states and the witness of a tree, the witness
+    None when gamma_p is infinite."""
+    res = dp.solve(t)
+    witness = None if res.gamma_p == dp.INF else reconstruct_witness(t, res.states)
+    return Solved(res.gamma_p, res.states, witness)
 
 
 def caterpillar(n, shape):

@@ -12,7 +12,8 @@ import time
 
 import pytest
 
-from conftest import children, cycle_graph, is_leaf, label, node_subproblems
+from conftest import (children, cycle_graph, is_leaf, label, node_subproblems,
+                      solve_with_witness)
 from pairdom import dectree, dp, oracle, recognition
 from pairdom.cli import main as cli_main
 from pairdom.graph import build_graph, is_paired_dominating
@@ -34,7 +35,7 @@ def corpus_small():
         n = random.Random(seed).randint(2, 14)
         t = dectree.generate(n, seed)
         g, _ = dectree.expand(t)
-        out.append((seed, t, g, dp.solve(t, want_witness=True)))
+        out.append((seed, t, g, solve_with_witness(t)))
     return out
 
 
@@ -52,8 +53,8 @@ def corpus_nodes():
 def test_criterion_1_worked_example_end_to_end(report, ex7_graph, ex7_tree,
                                      data_dir, capsys):
     t0 = time.perf_counter()
-    via_graph = dp.solve(recognition.decompose(ex7_graph), want_witness=True)
-    via_tree = dp.solve(ex7_tree, want_witness=True)
+    via_graph = solve_with_witness(recognition.decompose(ex7_graph))
+    via_tree = solve_with_witness(ex7_tree)
     elapsed = time.perf_counter() - t0
     ok = via_graph.gamma_p == 2 and via_tree.gamma_p == 2
     for res in (via_graph, via_tree):
@@ -175,7 +176,7 @@ def test_criterion_8_linear_scaling(report):
     sizes = (10_000, 100_000, 1_000_000)
     trees = {n: dectree.generate(n, seed=42) for n in sizes}
     for t in trees.values():
-        dp.solve(t, want_witness=False)  # warm-up: allocator growth not timed
+        dp.solve(t)  # warm-up: allocator growth not timed
     # the sizes take turns, so that a drift of the machine's speed reaches
     # every size alike instead of the one timed while it lasts
     times = {n: [] for n in sizes}
@@ -185,7 +186,7 @@ def test_criterion_8_linear_scaling(report):
             gc.disable()  # same hygiene as timeit: no collector pauses mid-run
             try:
                 t0 = time.perf_counter()
-                dp.solve(trees[n], want_witness=False)
+                dp.solve(trees[n])
                 times[n].append(time.perf_counter() - t0)
             finally:
                 gc.enable()

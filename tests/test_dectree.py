@@ -597,6 +597,17 @@ def test_loads_refuses_malformed_nodes():
         dectree.loads(text.replace('"leaf": 11}', '"leaf": 1 1}'))
 
 
+@pytest.mark.parametrize("text, message", [
+    ('{"leaf": 0}  x', r'offset 11: expected "}", '),
+    ('{"op": "T", "l":   x', r'offset 16: expected a node '),
+])
+def test_syntax_error_after_whitespace_names_what_may_follow_the_piece(text, message):
+    # the offset is where the last piece ends, before the whitespace, so the
+    # expectation follows from the byte before it
+    with pytest.raises(TreeError, match=re.escape(message)):
+        dectree.loads(text)
+
+
 def test_loads_reads_text_and_bytes_alike():
     t = dectree.generate(300, seed=4)
     text = dectree.dumps(t)

@@ -222,7 +222,7 @@ def test_count_path_gamma_equals_the_root_state(n, seed, shape):
     # a label mix gives generated trees, a name a caterpillar
     t = caterpillar(n, shape) if isinstance(shape, str) else dectree.generate(n, seed, shape)
     count = solve(t, keep_states=False)
-    assert count.states is None and count.witness is None
+    assert count.states is None
     assert count.gamma_p == solve(t).states[-1][dp.GAMMA_P]
 
 
@@ -267,16 +267,23 @@ def test_node_state_and_solve_result_compare_by_fields():
     assert s != node_state(1, 0, 2, 3, INF, True, True)
     with pytest.raises(TypeError):  # a state is a tuple: it cannot be mutated
         s[dp.MIN] = 0
-    res = dp.SolveResult(gamma_p=2, states=[s], witness=(0, 1))
-    assert res == dp.SolveResult(2, [node_state(1, 0, 2, 3, INF, True, False)], (0, 1))
-    assert res != dp.SolveResult(2, [s], None)
+    res = dp.SolveResult(gamma_p=2, states=[s])
+    assert res == dp.SolveResult(2, [node_state(1, 0, 2, 3, INF, True, False)])
+    assert res != dp.SolveResult(2, None)
 
 
 def test_check_error_prints_the_state():
-    bad = node_state(min=0, alpha=2, beta=1, ts_size=3, gamma_p=INF,
-                     mty_ts=False, mty_pr=False)
-    with pytest.raises(dp.DpError, match=r"NodeState\(min=0, alpha=2, beta=1, "):
-        dp._check(bad)
+    # one state per invariant _check tests, each breaking that one alone
+    for bad, message in [
+        (node_state(0, 2, 1, 3, INF, False, False),
+         "alpha/beta/ts out of order: NodeState(min=0, alpha=2, beta=1, "),
+        (node_state(0, 0, 1, 3, INF, False, False),
+         "beta - alpha odd: NodeState(min=0, alpha=0, beta=1, "),
+        (node_state(1, 0, 0, 1, 3, False, False),
+         "odd finite gamma_p: NodeState(min=1, alpha=0, beta=0, ts_size=1, gamma_p=3, "),
+    ]:
+        with pytest.raises(dp.DpError, match=re.escape(message)):
+            dp._check(bad)
 
 
 @settings(max_examples=40, deadline=None)

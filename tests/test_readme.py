@@ -1,0 +1,10 @@
+import doctest
+from pathlib import Path
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_examples_run():
+    results = doctest.testfile(str(README), module_relative=False)
+    assert results.attempted > 0
+    assert results.failed == 0

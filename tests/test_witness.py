@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import LABEL_MIXES, leaf
+from conftest import LABEL_MIXES, leaf, solve_with_witness
 from pairdom import dectree, dp
 from pairdom.dectree import ATTACH_TAG, FALSE_TWIN_TAG, LEAF_TAG, from_nodes
 from pairdom.graph import is_paired_dominating
@@ -13,7 +13,7 @@ from pairdom.witness import (DOM, HIT, WitnessError, _certificate, _check, _spli
 
 
 def test_ex7_witness(ex7_tree, ex7_graph):
-    res = dp.solve(ex7_tree, want_witness=True)
+    res = solve_with_witness(ex7_tree)
     assert res.witness is not None
     assert len(res.witness) == 2
     assert is_paired_dominating(ex7_graph, res.witness)
@@ -22,13 +22,13 @@ def test_ex7_witness(ex7_tree, ex7_graph):
 def test_k2_witness():
     t = dectree.from_nodes(
         (leaf(0), leaf(1), ("T", 0, 1)), 2)
-    res = dp.solve(t, want_witness=True)
+    res = solve_with_witness(t)
     assert res.witness == (0, 1)
 
 
 def test_no_witness_when_infinite():
     t = dectree.from_nodes((leaf(0),), 0)
-    res = dp.solve(t, want_witness=True)
+    res = solve_with_witness(t)
     assert res.witness is None
     with pytest.raises(WitnessError):
         reconstruct_witness(t, res.states)
@@ -40,7 +40,7 @@ def test_witness_matches_oracle_on_random_trees():
         n = random.Random(seed).randint(2, 14)
         t = dectree.generate(n, seed)
         g, _ = dectree.expand(t)
-        res = dp.solve(t, want_witness=True)
+        res = solve_with_witness(t)
         gp = oracle_gamma_p(g)
         assert res.gamma_p == gp, seed
         if gp == dp.INF:
@@ -55,7 +55,7 @@ def test_witness_matches_oracle_on_random_trees():
 def test_witness_on_larger_tree_still_valid():
     t = dectree.generate(120, seed=9)
     g, _ = dectree.expand(t)
-    res = dp.solve(t, want_witness=True)
+    res = solve_with_witness(t)
     if res.gamma_p != dp.INF:
         assert is_paired_dominating(g, res.witness)
         assert len(res.witness) == res.gamma_p
@@ -86,7 +86,7 @@ def test_check_rejects_corrupted_certificates():
 
 
 def test_witness_at_100k_leaves():
-    res = dp.solve(dectree.generate(100_000, 1), want_witness=True)
+    res = solve_with_witness(dectree.generate(100_000, 1))
     assert len(res.witness) == res.gamma_p
 
 
@@ -98,7 +98,7 @@ def test_witness_matches_oracle_over_label_mixes(weights):
         n = random.Random(seed).randint(2, 14)
         t = dectree.generate(n, seed, weights)
         g, _ = dectree.expand(t)
-        res = dp.solve(t, want_witness=True)
+        res = solve_with_witness(t)
         assert res.gamma_p == oracle_gamma_p(g), seed
         assert len(res.witness) == res.gamma_p, seed
         assert is_paired_dominating(g, res.witness), seed
@@ -138,8 +138,7 @@ def _check_every_split(t):
                     continue
                 requests += 1
                 where = (i, chr(tag), k, need)
-                kl, kr, nl, nr, gl, gr = _split(i, tag, k, need, sl, sr, target)
-                assert (gl, gr) == (dp.eval_gamma_k(sl, kl), dp.eval_gamma_k(sr, kr)), where
+                kl, kr, nl, nr = _split(i, tag, k, need, s, sl, sr)
                 assert 0 <= kl <= sl[dp.TS_SIZE] and 0 <= kr <= sr[dp.TS_SIZE], where
                 if tag == FALSE_TWIN_TAG:
                     assert k == kl + kr, where
@@ -156,6 +155,15 @@ def _check_every_split(t):
                 ok, hit, dom = _joined_needs(tag, nl, nr)
                 assert ok and (hit or not need & HIT) and (dom or not need & DOM), where
     return requests
+
+
+def test_split_refuses_children_that_miss_the_node_gamma():
+    t = from_nodes((leaf(0), leaf(1), ("T", 0, 1)), 2)
+    sl, sr, s = dp.solve(t).states
+    assert _split(2, t.labels[2], 0, 0, s, sl, sr)[:2] == (0, 0)
+    off = (s[dp.MIN] + 1, *s[dp.MIN + 1:])  # a gamma_0 one above the children's sum
+    with pytest.raises(WitnessError, match=r"node 2: split \(0, 0\) of k=0 misses gamma_k=1"):
+        _split(2, t.labels[2], 0, 0, off, sl, sr)
 
 
 @settings(max_examples=60, deadline=None)
