@@ -4,6 +4,8 @@ Subcommands: solve, gen, check, bench, oracle. Exit codes: 0 success,
 1 failed check, 2 parse/usage error, 3 input not distance-hereditary,
 4 oracle size guard exceeded, 5 internal error (a self-check of
 recognition, the solver or the witness failed), 6 out of memory.
+`check --set D` decides whether G[D] has a perfect matching with the
+solver, in linear time, and exits 3 when G[D], so the graph, is not DH.
 Standard output that cannot be written (a full disk, a closed pipe) is a
 usage error, exit 2. So are a graph without vertices given to
 `solve --graph`, as `gen --n 0` refuses an empty tree, and an `oracle`
@@ -23,9 +25,10 @@ import json
 import os
 import sys
 import time
+from array import array
 
 from . import dectree, dp
-from .graph import GraphError, format_graph_text, is_dominating, parse_graph_text
+from .graph import GraphError, build_graph, format_graph_text, is_dominating, parse_graph_text
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -226,11 +229,27 @@ def cmd_check(args) -> int:
     if not is_dominating(g, d, range(g.n)):
         _print("fail: set is not dominating")
         return EXIT_CHECK_FAILED
-    from .graph import has_perfect_matching_induced
+    if d:  # decompose refuses the empty graph
+        from . import recognition
 
-    if not has_perfect_matching_induced(g, d):
-        _print("fail: induced subgraph has no perfect matching")
-        return EXIT_CHECK_FAILED
+        k, local = len(d), {v: i for i, v in enumerate(d)}
+        sub = build_graph(k, ((i, local[w]) for i, v in enumerate(d)
+                              for w in g.adjacency[v] if w in local))
+        try:
+            tree = recognition.decompose(sub)
+        except recognition.NotDistanceHereditary as exc:
+            # G[D] is an induced subgraph of G, so G is not DH either
+            exc = recognition.NotDistanceHereditary(d[i] for i in exc.remnant)
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_NOT_DH
+        # G[D] has a perfect matching exactly when G[D] with a pendant k + v
+        # on each vertex v has gamma_p = k: a paired-dominating set holds v
+        # or k + v, and holds k + v only paired with v
+        pendants = dectree.DecompTree(tree.labels.replace(b"L", b"LLA"), array(
+            "i", [x for v in tree.vertices for x in (v, k + v)]))
+        if dp.solve(pendants, keep_states=False).gamma_p != k:
+            _print("fail: induced subgraph has no perfect matching")
+            return EXIT_CHECK_FAILED
     _print("ok: paired-dominating")
     return EXIT_OK
 

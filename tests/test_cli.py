@@ -1,6 +1,7 @@
 import importlib
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -8,9 +9,11 @@ from pathlib import Path
 import pytest
 
 import pairdom
-from conftest import leaf
+from conftest import LABEL_MIXES, leaf
 from pairdom import cli, dectree
 from pairdom.cli import main
+from pairdom.graph import (format_graph_text, has_perfect_matching_induced,
+                           is_dominating, parse_graph_text)
 
 
 def run(capsys, *argv):
@@ -326,6 +329,66 @@ def test_check_pass_and_failures(capsys, data_dir, tmp_path):
     star.write_text("4 3\n0 1\n0 2\n0 3\n")
     code, out, _ = run(capsys, "check", "--graph", str(star), "--set", "0,1,2,3")
     assert (code, out) == (1, "fail: induced subgraph has no perfect matching\n")
+
+
+def test_check_agrees_with_the_matching_search(capsys, tmp_path):
+    # random even dominating sets of generated graphs: check must find a
+    # perfect matching of G[D] exactly when the backtracking search does
+    rng = random.Random(5)
+    outcomes = set()
+    for i, mix in enumerate(LABEL_MIXES * 30):
+        g, _ = dectree.expand(dectree.generate(rng.randint(2, 14), i, mix))
+        path = tmp_path / "g.txt"
+        path.write_text(format_graph_text(g))
+        d = {v for v in range(g.n) if rng.random() < 0.4}
+        d |= {v for v in range(g.n) if not is_dominating(g, d, (v,))}
+        if len(d) % 2:
+            d ^= {rng.choice([v for v in range(g.n) if v not in d] or [min(d)])}
+        if not is_dominating(g, d, range(g.n)):
+            continue
+        matched = has_perfect_matching_induced(g, d)
+        outcomes.add(matched)
+        code, out, err = run(capsys, "check", "--graph", str(path),
+                             "--set", ",".join(map(str, sorted(d))))
+        assert (code, out, err) == ((0, "ok: paired-dominating\n", "") if matched else
+                                    (1, "fail: induced subgraph has no perfect matching\n", ""))
+    assert outcomes == {False, True}
+
+
+def test_check_passes_the_witness_of_a_3000_vertex_graph(capsys, tmp_path):
+    graph = str(tmp_path / "g.txt")
+    assert run(capsys, "gen", "--n", "3000", "--seed", "1", "--weights", "0,1,1",
+               "--out-graph", graph)[0] == 0
+    code, out, _ = run(capsys, "solve", "--graph", graph, "--witness", "--json")
+    assert code == 0
+    witness = json.loads(out)["witness"]
+    assert len(witness) > 1000
+    assert run(capsys, "check", "--graph", graph, "--set", ",".join(map(str, witness))) == \
+        (0, "ok: paired-dominating\n", "")
+    # swap a witness vertex a for a neighbour b whose only witness neighbour
+    # is a: the set still dominates, but b has no partner in it
+    g = parse_graph_text(Path(graph).read_text())
+    kept = set(witness)
+    for a in witness:
+        swapped = [b for b in g.adjacency[a] if b not in kept
+                   and all(w == a or w not in kept for w in g.adjacency[b])
+                   and is_dominating(g, kept - {a} | {b}, range(g.n))]
+        if swapped:
+            break
+    d = kept - {a} | {swapped[0]}
+    assert run(capsys, "check", "--graph", graph, "--set", ",".join(map(str, sorted(d)))) == \
+        (1, "fail: induced subgraph has no perfect matching\n", "")
+
+
+def test_check_exits_3_naming_the_graphs_vertices(capsys, tmp_path):
+    # G[D] is the 6-cycle on 2..7, which has a perfect matching but is not
+    # distance-hereditary, so neither is the graph
+    graph = tmp_path / "g.txt"
+    graph.write_text("8 8\n2 3\n3 4\n4 5\n5 6\n6 7\n2 7\n0 2\n1 3\n")
+    code, out, err = run(capsys, "check", "--graph", str(graph), "--set", "2,3,4,5,6,7")
+    assert (code, out) == (3, "")
+    assert err == ("error: graph is not distance-hereditary; "
+                   "stuck remnant (2, 3, 4, 5, 6, 7)\n")
 
 
 @pytest.mark.parametrize("argv", [
