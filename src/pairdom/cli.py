@@ -21,6 +21,7 @@ in the same process.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import sys
@@ -92,9 +93,12 @@ def _load_graph(path: str):
 
 
 def _load_tree(path: str):
-    # the reader takes the bytes, which saves decoding the text and a copy of it
+    # the reader takes the file a chunk at a time, never the whole text
     try:
-        return dectree.loads(_read(path))
+        with open(path, "rb") as fh:
+            return dectree.load(fh)
+    except OSError as exc:
+        raise CliError(f"cannot read {path}: {exc}")
     except dectree.TreeError as exc:
         raise CliError(f"{path}: {exc}")
 
@@ -232,9 +236,10 @@ def cmd_check(args) -> int:
     if d:  # decompose refuses the empty graph
         from . import recognition
 
+        # each edge of G[D] once, from its end with the smaller local id
         k, local = len(d), {v: i for i, v in enumerate(d)}
-        sub = build_graph(k, ((i, local[w]) for i, v in enumerate(d)
-                              for w in g.adjacency[v] if w in local))
+        sub = build_graph(k, ((i, j) for i, v in enumerate(d)
+                              for w in g.adjacency[v] if (j := local.get(w, -1)) > i))
         try:
             tree = recognition.decompose(sub)
         except recognition.NotDistanceHereditary as exc:
@@ -273,13 +278,14 @@ def cmd_bench(args) -> int:
         t0 = time.perf_counter()
         tree = dectree.generate(n, seed)
         t_gen = time.perf_counter() - t0
-        text = dectree.dumps(tree).encode()  # the bytes that solve --tree reads
+        # the tree's file, read as solve --tree reads it
+        text = dectree.dumps(tree).encode()
         solve_times, loads_times, witness_times = [], [], []
         for _ in range(args.repeats):
             t0 = time.perf_counter()
             result = dp.solve(tree)
             t1 = time.perf_counter()
-            dectree.loads(text)
+            dectree.load(io.BytesIO(text))
             t2 = time.perf_counter()
             if result.gamma_p != dp.INF:  # else there is no witness
                 reconstruct_witness(tree, result.states)

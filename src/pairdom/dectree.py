@@ -14,7 +14,9 @@ checks the tree: a `DecompTree` is valid by construction. The trees that
 `generate` and recognition grow by merging subtrees are laid out by
 `_from_merges`. `DecompTree.nodes` shows the tree as tuples, ("leaf",
 vertex) or (label, left, right); `from_nodes`, its inverse, is where
-explicit child ids arrive.
+explicit child ids arrive. `load` reads a tree file `CHUNK` bytes at a
+time, so it holds a chunk and the tree's streams and columns, a few bytes
+per leaf, but never the whole file; `loads` reads a text the same way.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import sys
 from array import array
 from bisect import bisect
 from itertools import accumulate, islice
-from typing import Iterable, Iterator, Sequence
+from typing import BinaryIO, Iterable, Iterator, Sequence
 
 from .graph import Graph
 from .record import Record
@@ -53,9 +55,10 @@ class TreeError(ValueError):
 class DecompTree(Record):
     """A valid tree: `DecompTree(labels, vertices)` raises TreeError with
     `validate`'s violations, joined by "; ", unless the columns are one.
-    `loads` and `_from_merges` skip the check: their columns are a tree by
-    how they are made. As a hashable `Record`, it is not mutated once built;
-    `vertices` is an `array('i')`, as no read-only view stops reassignment."""
+    The reader (`load`, `loads`) and `_from_merges` skip the check: their
+    columns are a tree by how they are made. As a hashable `Record`, it is
+    not mutated once built; `vertices` is an `array('i')`, as no read-only
+    view stops reassignment."""
     __slots__ = ("labels", "vertices")
 
     def __init__(self, labels: bytes, vertices: array):
@@ -363,33 +366,68 @@ def dumps(t: DecompTree) -> str:
     return "".join(chunks)
 
 
-# `loads` reads a text in five kinds of piece: a whole leaf, an opening with
-# or without its label, the `, "r":` separator, a label after a child and a
-# closing brace. A node (a leaf or an opening) starts the text or follows a
-# piece that ends in ":", an opening or the separator; every other piece
-# follows one that ends a node, in "}" or in the '"' of a label. _SHAPE
-# matches pieces, each with the JSON whitespace before it ("~": space, tab,
-# LF or CR), and its look-behinds check that rule on the character before
-# that whitespace. Integers have no leading zeros. The repeats are
-# possessive ("+"), which keeps no backtracking state. Python 3.10 has no
-# possessive repeats, so there the "+"s are dropped; an ordinary repeat
-# keeps some state per piece, so one match covers at most 4096 pieces.
+# The reader takes a text in five kinds of piece: a whole leaf, an opening
+# with or without its label, the `, "r":` separator, a label after a child
+# and a closing brace. A node (a leaf or an opening) starts the text or
+# follows a piece that ends in ":", an opening or the separator; every other
+# piece follows one that ends a node, in "}" or in the '"' of a label. Below,
+# each piece is written with "~" for JSON whitespace (space, tab, LF or CR),
+# "#" for an integer without leading zeros and "X" for a label, after the
+# look-behind that checks that rule on the character before the piece's
+# whitespace. A piece ends on "}", ":" or '"', and no piece is a prefix of
+# another.
+_PIECES = ((rb'(?<=[}"])', ('~}', '~,~"r"~:', '~,~"op"~:~"X"')),
+           (rb'(?<![}"])', ('~{~"leaf"~:~#~}', '~{~"op"~:~"X"~,~"l"~:', '~{~"l"~:')))
+_ATOMS = {"~": (rb"[ \t\n\r]*+",), "#": (rb"-?+", rb"(?:0|[1-9][0-9]*+)"), "X": (rb"[TFA]",)}
+# Python 3.10 has no possessive repeats, so there the "+"s are dropped
 _POSSESSIVE = b"+" if sys.version_info >= (3, 11) else b""
-_SHAPE = re.compile(rb"""(?:
-      (?<=[}"])~(?: \} | ,~(?: "r"~: | "op"~:~"[TFA]" ) )
-    | (?<![}"])~\{~(?: "leaf"~:~-?(?:0|[1-9][0-9]*)~\}
-                    | "op"~:~"[TFA]"~,~"l"~:
-                    | "l"~: )
-){0,4096}+(?:~\Z)?+""".replace(b"~", rb"[ \t\n\r]*+").replace(b"+", _POSSESSIVE),
-                    re.VERBOSE)
+
+
+def _pattern(trie: dict, prefixes: bool) -> bytes:
+    """The pieces in `trie` (atom -> rest) as a regex that reads each atom
+    once, or, with `prefixes`, one that matches every prefix of them."""
+    alts = [atom + _pattern(rest, prefixes) for atom, rest in trie.items()]
+    if prefixes:
+        return b"(?:%s)?" % b"|".join(alts) if alts else b""
+    return b"(?:%s)" % b"|".join(alts) if len(alts) > 1 else b"".join(alts)
+
+
+def _source(prefixes: bool, tail: bytes) -> bytes:
+    """The regex of any one piece, or with `prefixes` of any prefix of one,
+    then `tail`."""
+    groups = []
+    for look_behind, pieces in _PIECES:
+        trie: dict = {}
+        for piece in pieces:
+            node = trie
+            for ch in piece:
+                for atom in _ATOMS.get(ch, (re.escape(ch.encode()),)):
+                    node = node.setdefault(atom, {})
+        groups.append(look_behind + _pattern(trie, prefixes))
+    return (b"(?:%s)" % b"|".join(groups) + tail).replace(b"+", _POSSESSIVE)
+
+
+# _SHAPE matches whole pieces, each with the whitespace before it. Its
+# repeats are possessive, which keeps no backtracking state; an ordinary
+# repeat keeps about 850 bytes per piece, so one match covers at most 256
+# pieces. _PREFIX matches what may still grow into a piece: the rest of the
+# text. Few texts need it, so it is compiled, and cached by `re`, on first use.
+_SHAPE = re.compile(_source(False, b"{0,256}+"))
+_PREFIX = _source(True, rb"\Z")
+_WS = b" \t\n\r"
+_WS_RUN, _DIGIT_RUN = (re.compile(run.replace(b"+", _POSSESSIVE))
+                       for run in (rb"[ \t\n\r]*+", rb"[0-9]*+"))
+# bytes that `load` reads at a time, and the size of the slices that `loads`
+# reads its text in: about the most of the text the reader holds at once
+CHUNK = 1 << 16
 
 
 def _delete_all_but(keep: bytes) -> bytes:
     return bytes(range(256)).translate(None, keep)
 
 
-# In a text that _SHAPE matches, "f" occurs only in "leaf", digits only in
-# leaf vertices, "r" only in the separator and "T", "F" and "A" only as labels.
+# In a text of pieces, "f" occurs only in "leaf", digits only in leaf
+# vertices, "r" only in the separator and "T", "F" and "A" only as labels.
 # So the vertex stream keeps the digits and a comma for each "f", and the
 # event stream keeps "{}TFAfr": a leaf is "{f}", an opening "{" or "{T",
 # a late label "T", the separator "r" and a closing brace "}". Folding the
@@ -413,74 +451,131 @@ _MARK[ord("{")] = -1
 del _tag
 
 
-def _syntax_error(text: bytes, pos: int) -> TreeError:
-    # _SHAPE's pieces end on "}", ":" or '"' and it takes trailing whitespace
-    # only with the end of the text, so the byte before pos is no whitespace
+def _lengthens_run(buf: bytearray, start: int, end: int) -> bool:
+    """Whether buf[end:] only lengthens the whitespace or digit run that
+    ends buf[start:end], a prefix of a piece, so that buf[start:] is one as
+    well and holds no whole piece. A number's digits may go on unless it is
+    a lone 0."""
+    last = buf[end - 1]
+    if last in _WS:
+        return _WS_RUN.fullmatch(buf, end) is not None
+    return (48 <= last <= 57 and (last != 48 or 48 <= buf[end - 2] <= 57)
+            and _DIGIT_RUN.fullmatch(buf, end) is not None)
+
+
+def _append_vertices(vertices: array, stream: bytearray) -> bytes | None:
+    """Append the vertices of a ",v,v,...,v" stream to the column, or those
+    before the first one that int() or the column cannot hold, and return
+    that one's digits."""
+    stream[0:1] = b"["
+    stream += b"]"
+    try:  # json.loads reads the ints faster than int() on split tokens
+        vertices.fromlist(json.loads(stream))  # which appends all or none
+        return None
+    except (ValueError, OverflowError):
+        pass
+    for digits in stream[1:-1].split(b","):
+        try:
+            vertices.append(int(digits))
+        except (ValueError, OverflowError):
+            return bytes(digits)
+    return None
+
+
+def _syntax_error(buf: bytearray, pos: int, base: int, chunks: Iterator) -> TreeError:
+    # pos, buf's index of file offset base + pos, is where a piece ends or
+    # the file starts, so the byte before it is no whitespace
     expected = ('"}", ", \\"r\\": <node>" or ", \\"op\\": <label>"'
-                if pos and text[pos - 1] in b'}"' else
+                if base + pos and buf[pos - 1] in b'}"' else
                 'a node {"leaf": <int>} or {"op": "T"|"F"|"A", "l": ..., "r": ...}')
-    got = text[pos:pos + 24].decode("ascii", "backslashreplace")
-    return TreeError(f"offset {pos}: expected {expected}, got {got!r}")
-
-
-def loads(text: str | bytes) -> DecompTree:
-    """Read the nested JSON tree format, as text or as its bytes, without
-    recursion.
-
-    Keys may come in any order, except that "l" comes before "r"; other
-    keys are rejected, as are string escapes. C does the per-character work
-    in whole-text passes: `_SHAPE` checks the piece grammar, `translate`
-    pulls out the leaf vertices and the node events, after which `loads`
-    drops the text, and `json.loads` reads the vertices column. Then one
-    Python step per event fills the labels: each open node keeps its label,
-    and a mark once its separator has come, on a stack, and takes its id
-    when it closes, so the nodes come out in post-order and files of any
-    nesting depth load. A grammar error names the text offset, a structure
-    error the node or the leaf vertex.
-    """
-    if isinstance(text, str):
-        try:
-            text = text.encode("ascii")
-        except UnicodeEncodeError as exc:
-            raise TreeError(f"offset {exc.start}: expected JSON in ASCII, got "
-                            f"{text[exc.start:exc.start + 24]!r}") from None
-    pos = 0
-    while True:
-        end = _SHAPE.match(text, pos).end()
-        if end == pos:
+    while len(buf) < pos + 24:  # the file's next 24 bytes, for the message
+        chunk = next(chunks, b"")
+        if not chunk:
             break
-        pos = end
-    if pos != len(text):
-        raise _syntax_error(text, pos)
+        buf += chunk
+    got = buf[pos:pos + 24].decode("ascii", "backslashreplace")
+    return TreeError(f"offset {base + pos}: expected {expected}, got {got!r}")
 
-    # both streams are made first, so that the text is freed before the
-    # Python passes unless the caller still holds it
-    stream = text.translate(_COMMA_FOR_F, _NOT_VERTEX)  # ",v,v,...,v"
-    events = text.translate(None, _NOT_EVENT)
-    del text  # whose length is pos
 
-    # json.loads reads the ints faster than int() on split tokens; in slices
-    # of about 64 KiB, so that no list holds a Python int per leaf at once
-    n = stream.count(b",")
-    seen = bytearray(n)
-    vertices = array("i")
-    start = 0
-    while start < len(stream):
-        end = stream.find(b",", start + (1 << 16))
-        if end == -1:
-            end = len(stream)
+def _read(chunks: Iterator) -> DecompTree:
+    """The tree of the text that `chunks` yields, a bytes-like piece at a
+    time; `load` and `loads` are this reader.
+
+    Per chunk, C does the per-character work: `_SHAPE` matches the whole
+    pieces, `translate` turns them into the vertex and event streams, and
+    `json.loads` reads the vertices into their column. What is left is
+    kept, with the byte before it for the look-behinds, for the next chunk.
+    A chunk that adds no whole piece has `_PREFIX` check that what is left
+    can still grow into one, so a grammar error stops the reader at most a
+    chunk after the one that holds it; its offset is where the whole pieces
+    end, whatever the chunk size. A prefix that a chunk only lengthens by
+    whitespace or digits is not matched again, so a piece longer than a
+    chunk costs linear time too. Whitespace after the
+    last piece is taken once the text ends.
+
+    Then one loop checks that the leaves carry 0..n-1, and one Python step
+    per event fills the labels: each open node keeps its label, and a mark
+    once its separator has come, on a stack, and takes its id when it
+    closes, so the nodes come out in post-order and files of any nesting
+    depth load. A grammar error names the text offset, a structure error
+    the node or the leaf vertex.
+    """
+    buf = bytearray()  # the byte before `start`, once the text has one, then the rest
+    base = start = 0   # the text offset of buf[0]; where the unread prefix starts
+    events, vertices = bytearray(), array("i")
+    n = 0
+    bad = None  # the digits of the first vertex that the column cannot hold
+    prefix = False  # whether buf[start:] is known to be a prefix of a piece
+    for chunk in chunks:
+        end = len(buf)
+        buf += chunk
+        del chunk
+        if prefix and _lengthens_run(buf, start, end):
+            continue
+        pos = start
+        while True:
+            end = _SHAPE.match(buf, pos).end()
+            if end == pos:
+                break
+            pos = end
+        prefix = pos == start
+        if prefix:  # what is left must be able to grow into a piece
+            if not re.compile(_PREFIX).match(buf, pos):
+                raise _syntax_error(buf, pos, base, chunks)
+            continue
+        del buf[:start]  # the look-behind byte
+        rest = buf[pos - start:]
+        del buf[pos - start:]  # buf is now the whole pieces
+        events += buf.translate(None, _NOT_EVENT)
+        stream = buf.translate(_COMMA_FOR_F, _NOT_VERTEX)  # ",v,v,...,v"
+        if stream:
+            n += stream.count(b",")
+            if bad is None:
+                bad = _append_vertices(vertices, stream)
+            del stream
+        del buf[:-1]
+        buf += rest
+        base += pos - 1
+        start = 1
+    if buf[start:].strip(_WS):
+        raise _syntax_error(buf, start, base, chunks)
+    size = base + len(buf)
+    del buf
+
+    seen, fault = bytearray(n), bad
+    for v in vertices:
+        if not 0 <= v < n or seen[v]:
+            fault = b"%d" % v
+            break
+        seen[v] = 1
+    if fault is not None:
         try:
-            chunk = json.loads(b"[%s]" % stream[start + 1:end])
+            int(fault)
         except ValueError:  # past int()'s digit limit
             raise TreeError("a leaf vertex has more digits than int() reads") from None
-        for v in chunk:
-            if not 0 <= v < n or seen[v]:
-                raise TreeError(f"leaf vertex {str(v)[:24]} is repeated or outside "
-                                f"0..{n - 1}")
-            seen[v] = 1
-        vertices.fromlist(chunk)
-        start = end
-    del stream
+        raise TreeError(f"leaf vertex {fault[:24].decode()} is repeated or outside "
+                        f"0..{n - 1}")
+    del seen
 
     n_nodes = events.count(b"}")  # one per leaf and one per closing brace
     for piece, event in _FOLDS:
@@ -521,5 +616,31 @@ def loads(text: str | bytes) -> DecompTree:
     except IndexError:  # the stack is empty: nothing is open
         raise TreeError(f"the text goes on after the root, node {i - 1}") from None
     if stack or not i:
-        raise TreeError(f"tree JSON ends early at offset {pos}")
+        raise TreeError(f"tree JSON ends early at offset {size}")
     return DecompTree._trusted(bytes(labels), vertices)
+
+
+def load(fp: BinaryIO) -> DecompTree:
+    """Read the nested JSON tree format from a binary file, `CHUNK` bytes
+    at a time, without recursion. Besides the tree, it holds a chunk, the
+    piece that runs over its end and the node events, a few bytes per leaf,
+    never the whole file.
+
+    Keys may come in any order, except that "l" comes before "r"; other
+    keys are rejected, as are string escapes. TreeError names the file
+    offset of a grammar error, or the node or leaf vertex at fault.
+    """
+    return _read(iter(lambda: fp.read(CHUNK), b""))
+
+
+def loads(text: str | bytes) -> DecompTree:
+    """Read the nested JSON tree format, as text or as its bytes, as `load`
+    reads a file: in slices of `CHUNK` bytes, with the same errors."""
+    if isinstance(text, str):
+        try:
+            text = text.encode("ascii")
+        except UnicodeEncodeError as exc:
+            raise TreeError(f"offset {exc.start}: expected JSON in ASCII, got "
+                            f"{text[exc.start:exc.start + 24]!r}") from None
+    view = memoryview(text)
+    return _read(view[i:i + CHUNK] for i in range(0, len(view), CHUNK))

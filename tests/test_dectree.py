@@ -1,3 +1,4 @@
+import io
 import json
 import random
 import re
@@ -8,7 +9,7 @@ from array import array
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import (LABEL_MIXES, caterpillar, children, has_edge, is_leaf, leaf,
+from conftest import (DATA, LABEL_MIXES, caterpillar, children, has_edge, is_leaf, leaf,
                       post_order, twin_set)
 from pairdom import dectree
 from pairdom.dectree import DecompTree, TreeError, from_nodes
@@ -463,26 +464,26 @@ def test_loads_accepts_every_key_order_and_rejects_mutants(n, seed, rng):
             dectree.loads(_render(t, rng, mutant, at))
 
 
+_TEXT = dectree.dumps(dectree.generate(5, seed=1))
+GARBAGE = ("not json",
+           '{"op": "T", "l": {"leaf": 0}}',
+           '{"leaf": "zero"}',
+           _TEXT[:-5],                    # truncated
+           _TEXT.rstrip() + "}",          # an extra closing brace
+           "[" + _TEXT.rstrip() + "]",    # a top-level array
+           _TEXT.rstrip() + " x",         # trailing junk
+           '{"leaf": \u0663}',           # a non-ASCII digit
+           '{"leaf": 03}',               # a leading zero
+           '{"leaf":\u00a00}',           # non-JSON whitespace
+           '{"op": "T\x01", "l": {"leaf": 0}, "r": {"leaf": 1}}',  # a control character
+           '{"op": "T", "r": {"leaf": 1}, "l": {"leaf": 0}}',      # "r" before "l"
+           # a repeated "r" whose leaves still number 0..n-1
+           '{"op": "T", "l": {"leaf": 0}, "r": {"leaf": 1}, "r": {"leaf": 2}}',
+           '{"leaf": %s}' % ("9" * 5000))  # more digits than int() reads
+
+
 def test_json_rejects_garbage():
-    with pytest.raises(TreeError):
-        dectree.loads("not json")
-    with pytest.raises(TreeError):
-        dectree.loads('{"op": "T", "l": {"leaf": 0}}')
-    with pytest.raises(TreeError):
-        dectree.loads('{"leaf": "zero"}')
-    text = dectree.dumps(dectree.generate(5, seed=1))
-    for bad in (text[:-5],                    # truncated
-                text.rstrip() + "}",          # an extra closing brace
-                "[" + text.rstrip() + "]",    # a top-level array
-                text.rstrip() + " x",         # trailing junk
-                '{"leaf": \u0663}',           # a non-ASCII digit
-                '{"leaf": 03}',               # a leading zero
-                '{"leaf":\u00a00}',           # non-JSON whitespace
-                '{"op": "T\x01", "l": {"leaf": 0}, "r": {"leaf": 1}}',  # a control character
-                '{"op": "T", "r": {"leaf": 1}, "l": {"leaf": 0}}',      # "r" before "l"
-                # a repeated "r" whose leaves still number 0..n-1
-                '{"op": "T", "l": {"leaf": 0}, "r": {"leaf": 1}, "r": {"leaf": 2}}',
-                '{"leaf": %s}' % ("9" * 5000)):  # more digits than int() reads
+    for bad in GARBAGE:
         with pytest.raises(TreeError):
             dectree.loads(bad)
 
@@ -565,26 +566,32 @@ def test_loads_refuses_or_round_trips_every_mutant(n, seed, rng):
         assert t == expected, mutant
 
 
-def test_loads_refuses_malformed_nodes():
-    leaf, pair = '{"leaf": 0}', '"l": {"leaf": 0}, "r": {"leaf": 1}'
-    grammar = ('{"le af": 0}',
+_LEAF, _PAIR = '{"leaf": 0}', '"l": {"leaf": 0}, "r": {"leaf": 1}'
+# texts the reader refuses, by what its error names: the offset of a
+# grammar error, the node of a structure error or the leaf vertex at fault
+MALFORMED = {
+    "offset": ('{"le af": 0}',
                '{"leaf": 1 2}',
-               '{"o p": "T", %s}' % pair,
-               '{"op": " T", %s}' % pair,
+               '{"o p": "T", %s}' % _PAIR,
+               '{"op": " T", %s}' % _PAIR,
                '{"op": "T", "l": {"leaf": 0} {"leaf": 1}}',  # no "r"
-               '{"op": "T", "l": , "r": {"leaf": 0}}')       # no left child
-    structure = ('{"op": "T", "l": {"leaf": 0}}',                          # one child
-                 '{"l": {"leaf": 0}, "op": "T"}',
-                 '{"op": "T", %s, "r": {"leaf": 2}}' % pair,                # three children
-                 '{"op": "T", "l": {"leaf": 0}}, "r": {"leaf": 1}}',        # a "}" mid-text
-                 '{%s}' % pair,                                             # no label
-                 '{"op": "T", "l": {"leaf": 0}, "op": "F", "r": {"leaf": 1}}',  # two labels
-                 '{"l": {"leaf": 0}, "op": "T", "r": {"leaf": 1}, "op": "T"}',
-                 leaf + ', "r": {"leaf": 1}',                               # two roots
-                 leaf + ', "op": "T"')
-    vertices = ('{"leaf": 4294967296}', '{"leaf": 1}', '{"leaf": -1}',
-                '{"op": "T", "l": {"leaf": 0}, "r": {"leaf": 0}}')
-    for texts, names in ((grammar, "offset"), (structure, "node"), (vertices, "vertex")):
+               '{"op": "T", "l": , "r": {"leaf": 0}}'),      # no left child
+    "node": ('{"op": "T", "l": {"leaf": 0}}',                          # one child
+             '{"l": {"leaf": 0}, "op": "T"}',
+             '{"op": "T", %s, "r": {"leaf": 2}}' % _PAIR,                # three children
+             '{"op": "T", "l": {"leaf": 0}}, "r": {"leaf": 1}}',        # a "}" mid-text
+             '{%s}' % _PAIR,                                             # no label
+             '{"op": "T", "l": {"leaf": 0}, "op": "F", "r": {"leaf": 1}}',  # two labels
+             '{"l": {"leaf": 0}, "op": "T", "r": {"leaf": 1}, "op": "T"}',
+             _LEAF + ', "r": {"leaf": 1}',                               # two roots
+             _LEAF + ', "op": "T"'),
+    "vertex": ('{"leaf": 4294967296}', '{"leaf": 1}', '{"leaf": -1}',
+               '{"op": "T", "l": {"leaf": 0}, "r": {"leaf": 0}}'),
+}
+
+
+def test_loads_refuses_malformed_nodes():
+    for names, texts in MALFORMED.items():
         for text in texts:
             for data in (text, text.encode()):
                 with pytest.raises(TreeError, match=names):
@@ -597,15 +604,101 @@ def test_loads_refuses_malformed_nodes():
         dectree.loads(text.replace('"leaf": 11}', '"leaf": 1 1}'))
 
 
-@pytest.mark.parametrize("text, message", [
+AFTER_WHITESPACE = [
     ('{"leaf": 0}  x', r'offset 11: expected "}", '),
     ('{"op": "T", "l":   x', r'offset 16: expected a node '),
-])
+]
+
+
+@pytest.mark.parametrize("text, message", AFTER_WHITESPACE)
 def test_syntax_error_after_whitespace_names_what_may_follow_the_piece(text, message):
     # the offset is where the last piece ends, before the whitespace, so the
     # expectation follows from the byte before it
     with pytest.raises(TreeError, match=re.escape(message)):
         dectree.loads(text)
+
+
+def _columns_or_error(read, data):
+    """The columns of the tree that `read` makes of `data`, or its TreeError's text."""
+    try:
+        t = read(data)
+    except TreeError as exc:
+        return str(exc)
+    return t.labels, t.vertices
+
+
+def _load(data):
+    return dectree.load(io.BytesIO(data))
+
+
+CHUNK_SIZES = [1, 2, 3, 7, 4096]
+
+
+@pytest.fixture(scope="module")
+def tree_files():
+    """Tree files, each with the columns, or the error, that reading it must
+    give: the test data files, whose graphs `loads` refuses, then generated
+    trees and caterpillars that nest 30 000 objects deep."""
+    data = [p.read_bytes() for p in sorted(DATA.iterdir())]
+    files = [(d, _columns_or_error(dectree.loads, d)) for d in data]
+    trees = [dectree.generate(n, n, w) for n in (1, 2, 50, 300) for w in LABEL_MIXES]
+    trees += [caterpillar(30_000, shape) for shape in ("path", "star")]
+    return files + [(dectree.dumps(t).encode(), (t.labels, t.vertices)) for t in trees]
+
+
+@pytest.mark.parametrize("chunk", CHUNK_SIZES)
+def test_load_reads_as_loads_in_chunks_of_any_size(chunk, tree_files, monkeypatch):
+    monkeypatch.setattr(dectree, "CHUNK", chunk)
+    for data, expected in tree_files:
+        assert _columns_or_error(_load, data) == expected
+
+
+@pytest.mark.parametrize("chunk", CHUNK_SIZES)
+def test_load_refuses_as_loads_in_chunks_of_any_size(chunk, monkeypatch):
+    # whole-text reads are the reference. A piece may run over many chunks:
+    # a 100 000-byte whitespace run, or a leaf of 5000 digits, which int()
+    # refuses from Python 3.11 on
+    texts = [text for texts in MALFORMED.values() for text in texts]
+    texts += [*GARBAGE, *(text for text, _ in AFTER_WHITESPACE)]
+    texts += ['{"leaf":%s0}' % (" " * 100_000), '{"leaf": 0}%s' % ("\n" * 100_000),
+              '{"leaf": %s}' % ("9" * 5000), '{"leaf": %s 1}' % ("1" * 5000),
+              '{"op": "T", "l": {"leaf": 1}, "r": {"leaf": %s}}' % ("9" * 5000)]
+    data = [text.encode("utf-8") for text in texts]
+    monkeypatch.setattr(dectree, "CHUNK", max(map(len, data)))
+    expected = [_columns_or_error(dectree.loads, d) for d in data]
+    monkeypatch.setattr(dectree, "CHUNK", chunk)
+    for d, e in zip(data, expected):
+        assert _columns_or_error(_load, d) == e
+        assert _columns_or_error(dectree.loads, d) == e
+
+
+def test_load_stops_reading_a_chunk_after_a_grammar_error():
+    # what follows the fault, here a whitespace run ten chunks long, is not read
+    fh = io.BytesIO(b'{"op": "T", "l": {"leaf": 0} x' + b" " * (10 * dectree.CHUNK))
+    with pytest.raises(TreeError, match=re.escape('offset 28: expected "}", ')):
+        dectree.load(fh)
+    assert fh.tell() <= 2 * dectree.CHUNK
+
+
+def test_load_holds_a_chunk_and_per_leaf_columns_not_the_file(tmp_path):
+    # the path caterpillar nests 30 000 objects deep, so its event loop holds
+    # two stack entries per leaf. Padding every ": " with whitespace makes the
+    # file ten times larger and must not move the peak
+    n = 30_000
+    text = dectree.dumps(caterpillar(n, "path"))
+    bound = dectree.CHUNK + 32 * n
+    for padding in ("", " " * 100):
+        path = tmp_path / "path.json"
+        path.write_text(text.replace(": ", ": " + padding))
+        with open(path, "rb") as fh:
+            tracemalloc.start()
+            try:
+                t = dectree.load(fh)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert t.n_leaves == n and peak <= bound
+    assert path.stat().st_size > 10 * bound
 
 
 def test_loads_reads_text_and_bytes_alike():
