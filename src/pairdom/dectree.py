@@ -552,7 +552,6 @@ def _read(chunks: Iterator) -> DecompTree:
             n += stream.count(b",")
             if bad is None:
                 bad = _append_vertices(vertices, stream)
-            del stream
         del buf[:-1]
         buf += rest
         base += pos - 1
