@@ -5,7 +5,8 @@ Subcommands: solve, gen, check, bench, oracle. Exit codes: 0 success,
 4 oracle size guard exceeded, 5 internal error (a self-check of
 recognition, the solver or the witness failed), 6 out of memory.
 `check --set D` decides whether G[D] has a perfect matching with the
-solver, in linear time, and exits 3 when G[D], so the graph, is not DH.
+solver, in linear time, and exits 3 when G[D], so the graph, is not DH;
+`--set @PATH` reads D from a file, as a set too large for one argument.
 Standard output that cannot be written (a full disk, a closed pipe) is a
 usage error, exit 2. So are a graph without vertices given to
 `solve --graph`, as `gen --n 0` refuses an empty tree, and an `oracle`
@@ -38,8 +39,6 @@ EXIT_NOT_DH = 3
 EXIT_ORACLE_GUARD = 4
 EXIT_INTERNAL = 5
 EXIT_OUT_OF_MEMORY = 6
-
-COMMANDS = ("solve", "gen", "check", "bench", "oracle")
 
 
 class CliError(Exception):
@@ -105,12 +104,25 @@ def _load_tree(path: str):
 
 def _parse_ids(raw: str) -> list[int]:
     raw = raw.strip()
-    if not raw:
-        return []
     try:
         return [int(tok) for tok in raw.replace(",", " ").split()]
     except ValueError:
         raise CliError(f"expected comma-separated vertex ids, got {raw!r}")
+
+
+def _set_ids(raw: str) -> list[int]:
+    """The ids of `check --set`, or of the file that "@PATH" names (no id
+    starts with "@"), where a bad token is named alone."""
+    if not raw.startswith("@"):
+        return _parse_ids(raw)
+    ids = []
+    for tok in _read(raw[1:]).replace(b",", b" ").split():
+        try:
+            ids.append(int(tok))
+        except ValueError:
+            raise CliError(f"{raw[1:]}: expected comma-separated vertex ids, got "
+                           f"{tok.decode('ascii', 'backslashreplace')!r}")
+    return ids
 
 
 def _gamma_str(gamma) -> str:
@@ -219,14 +231,13 @@ def _parse_weights(raw: str) -> list[float]:
 
 def cmd_check(args) -> int:
     g = _load_graph(args.graph)
-    seen: set[int] = set()
-    for v in _parse_ids(args.set):
-        if not (0 <= v < g.n):
-            raise CliError(f"vertex {v} out of range for n={g.n}")
-        if v in seen:
-            raise CliError(f"vertex {v} is listed more than once")
-        seen.add(v)
-    d = sorted(seen)
+    ids = _set_ids(args.set)
+    k = dectree.scan_ids(ids, g.n)[0]
+    if k >= 0:
+        v = ids[k]
+        raise CliError(f"vertex {v} out of range for n={g.n}" if not 0 <= v < g.n
+                       else f"vertex {v} is listed more than once")
+    d = sorted(ids)
     if len(d) % 2 == 1:
         _print("fail: odd set size")
         return EXIT_CHECK_FAILED
@@ -360,67 +371,55 @@ class _Parser(argparse.ArgumentParser):
             raise CliError(f"cannot write standard output: {exc}")
 
 
-def build_parser(argv=None) -> argparse.ArgumentParser:
-    """The pairdom argument parser. When argv starts with a subcommand name,
-    only that subcommand's parser is built, which saves building the other
-    four on every call; otherwise (help, a typo, no argument) all five are."""
-    command = argv[0] if argv and argv[0] in COMMANDS else None
+def build_parser() -> argparse.ArgumentParser:
+    """The pairdom argument parser, with all five subcommands. Every call
+    builds the same parser, so help, usage errors and each command's
+    options read the same whatever the command line holds."""
     parser = _Parser(
         prog="pairdom",
         description="Paired domination on distance-hereditary graphs.")
-    # with one subparser built, the usage line still names all five commands
-    sub = parser.add_subparsers(
-        dest="command", required=True,
-        metavar=None if command is None else "{" + ",".join(COMMANDS) + "}")
+    sub = parser.add_subparsers(dest="command", required=True)
 
-    if command in (None, "solve"):
-        p = sub.add_parser("solve", help="compute gamma_p for a graph or tree file")
-        p.add_argument("--graph")
-        p.add_argument("--tree")
-        p.add_argument("--witness", action="store_true")
-        p.add_argument("--json", action="store_true")
-        p.set_defaults(func=cmd_solve)
+    p = sub.add_parser("solve", help="compute gamma_p for a graph or tree file")
+    p.add_argument("--graph")
+    p.add_argument("--tree")
+    p.add_argument("--witness", action="store_true")
+    p.add_argument("--json", action="store_true")
+    p.set_defaults(func=cmd_solve)
 
-    if command in (None, "gen"):
-        p = sub.add_parser("gen", help="generate a random decomposition tree")
-        p.add_argument("--n", type=int, required=True)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--weights", default="1,1,1",
-                       help="true-twin,false-twin,attach label weights")
-        p.add_argument("--out-tree")
-        p.add_argument("--out-graph")
-        p.set_defaults(func=cmd_gen)
+    p = sub.add_parser("gen", help="generate a random decomposition tree")
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--weights", default="1,1,1",
+                   help="true-twin,false-twin,attach label weights")
+    p.add_argument("--out-tree")
+    p.add_argument("--out-graph")
+    p.set_defaults(func=cmd_gen)
 
-    if command in (None, "check"):
-        p = sub.add_parser("check", help="verify a paired-dominating set")
-        p.add_argument("--graph", required=True)
-        p.add_argument("--set", required=True, help="comma-separated vertex ids")
-        p.set_defaults(func=cmd_check)
+    p = sub.add_parser("check", help="verify a paired-dominating set")
+    p.add_argument("--graph", required=True)
+    p.add_argument("--set", required=True, help="comma-separated vertex ids")
+    p.set_defaults(func=cmd_check)
 
-    if command in (None, "bench"):
-        p = sub.add_parser("bench", help="in-process loads, solve and witness times, "
-                                         "and peak memory")
-        p.add_argument("--sizes", required=True, help="comma-separated leaf counts")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--repeats", type=int, default=3)
-        p.set_defaults(func=cmd_bench)
+    p = sub.add_parser("bench", help="in-process loads, solve and witness times, "
+                                     "and peak memory")
+    p.add_argument("--sizes", required=True, help="comma-separated leaf counts")
+    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--repeats", type=int, default=3)
+    p.set_defaults(func=cmd_bench)
 
-    if command in (None, "oracle"):
-        p = sub.add_parser("oracle", help="brute-force ground truth (small n)")
-        p.add_argument("--graph", required=True)
-        p.add_argument("--ts", default=None)
-        p.add_argument("--k", type=int, default=None)
-        p.set_defaults(func=cmd_oracle)
+    p = sub.add_parser("oracle", help="brute-force ground truth (small n)")
+    p.add_argument("--graph", required=True)
+    p.add_argument("--ts", default=None)
+    p.add_argument("--k", type=int, default=None)
+    p.set_defaults(func=cmd_oracle)
 
     return parser
 
 
 def main(argv=None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    parser = build_parser(argv)
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except SystemExit as exc:  # from argparse: help (0) or a usage error
         return EXIT_USAGE if exc.code not in (0, None) else 0

@@ -128,7 +128,7 @@ def validate(labels: bytes, vertices: Sequence[int]) -> list[str]:
     """Check the columns' structural invariants; empty list means ok. The
     labels are L, T, F or A; n leaves have n vertices, 0..n-1, and 2n-1
     nodes; each internal node finds two finished subtrees before it. C
-    checks the labels, one loop the vertices; `children` names a bad node."""
+    checks the labels, `scan_ids` the vertices; `children` names a bad node."""
     stray = labels.translate(None, b"LTFA")
     if stray:
         i = labels.index(stray[0])
@@ -142,17 +142,24 @@ def validate(labels: bytes, vertices: Sequence[int]) -> list[str]:
             children(labels)  # which raises, naming the node at fault
         except TreeError as exc:
             violations.append(str(exc))
-    seen = bytearray(n)
-    for v in vertices:
-        if not 0 <= v < n or seen[v]:
-            k = seen.count(1)  # v's position: each vertex before it was marked once
-            leaves = (i for i, tag in enumerate(labels) if tag == LEAF_TAG)
-            node = next(islice(leaves, k, None), "?")  # the k-th leaf
-            violations.append(f"node {node}: leaf vertex {v} is repeated or outside "
-                              f"0..{n - 1}")
-            break
-        seen[v] = 1
+    k = scan_ids(vertices, n)[0]
+    if k >= 0:
+        leaves = (i for i, tag in enumerate(labels) if tag == LEAF_TAG)
+        node = next(islice(leaves, k, None), "?")  # the k-th leaf
+        violations.append(f"node {node}: leaf vertex {vertices[k]} is repeated or "
+                          f"outside 0..{n - 1}")
     return violations
+
+
+def scan_ids(ids: Iterable[int], n: int) -> tuple[int, bytearray]:
+    """The index of the first id outside 0..n-1 or equal to an earlier one,
+    or -1 if none is, and the marks: 1 for each vertex an id before it names."""
+    marks = bytearray(n)
+    for v in ids:
+        if not 0 <= v < n or marks[v]:
+            return marks.count(1), marks  # each id before it was marked once
+        marks[v] = 1
+    return -1, marks
 
 
 def children(labels: bytes) -> tuple[array, array]:
@@ -513,7 +520,7 @@ def _read(chunks: Iterator) -> DecompTree:
     chunk costs linear time too. Whitespace after the
     last piece is taken once the text ends.
 
-    Then one loop checks that the leaves carry 0..n-1, and one Python step
+    Then `scan_ids` checks that the leaves carry 0..n-1, and one Python step
     per event fills the labels: each open node keeps its label, and a mark
     once its separator has come, on a stack, and takes its id when it
     closes, so the nodes come out in post-order and files of any nesting
@@ -561,12 +568,8 @@ def _read(chunks: Iterator) -> DecompTree:
     size = base + len(buf)
     del buf
 
-    seen, fault = bytearray(n), bad
-    for v in vertices:
-        if not 0 <= v < n or seen[v]:
-            fault = b"%d" % v
-            break
-        seen[v] = 1
+    k = scan_ids(vertices, n)[0]
+    fault = bad if k < 0 else b"%d" % vertices[k]
     if fault is not None:
         try:
             int(fault)
@@ -574,7 +577,6 @@ def _read(chunks: Iterator) -> DecompTree:
             raise TreeError("a leaf vertex has more digits than int() reads") from None
         raise TreeError(f"leaf vertex {fault[:24].decode()} is repeated or outside "
                         f"0..{n - 1}")
-    del seen
 
     n_nodes = events.count(b"}")  # one per leaf and one per closing brace
     for piece, event in _FOLDS:

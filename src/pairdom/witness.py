@@ -19,7 +19,7 @@ import functools
 from typing import Sequence
 
 from .dectree import (ATTACH_TAG, FALSE_TWIN_TAG, LEAF_TAG, TRUE_TWIN_TAG, DecompTree,
-                      children)
+                      children, scan_ids)
 from .dp import GAMMA_P, INF, MTY_PR, NodeState, cond_d2, eval_gamma_k
 
 PDS = -1  # request for a minimum paired-dominating set of the subtree
@@ -171,12 +171,10 @@ def _check(t: DecompTree, pairs: Sequence[tuple[int, int, int]], kids: tuple) ->
     lefts, rights = kids
     n_nodes = len(labels)
     n = t.n_leaves
-    in_d = bytearray(n)
-    for _, u, v in pairs:
-        for w in (u, v):
-            if not 0 <= w < n or in_d[w]:
-                raise WitnessError(f"vertex {w} is repeated or outside 0..{n - 1}")
-            in_d[w] = 1
+    k, in_d = scan_ids((w for _, u, v in pairs for w in (u, v)), n)
+    if k >= 0:
+        raise WitnessError(f"vertex {pairs[k // 2][1 + k % 2]} is repeated or "
+                           f"outside 0..{n - 1}")
     # children first: the first node of each subtree's block, and whether D
     # hits the twin set
     leaf_of = [0] * n

@@ -70,6 +70,22 @@ def test_validate_names_the_leaf_of_a_bad_vertex_after_the_first():
             f"node 3: leaf vertex {v} is repeated or outside 0..2"]
 
 
+def test_validate_names_the_first_bad_vertex_in_order():
+    # a stray before a repeat, then a repeat before a stray
+    for vertices, v in (([0, 5, 0], 5), ([0, 0, 5], 0)):
+        with pytest.raises(TreeError, match=f"^node 1: leaf vertex {v} is repeated or "
+                                            r"outside 0\.\.2$"):
+            DecompTree(b"LLTLF", array("i", vertices))
+
+
+def test_scan_ids_names_the_first_fault_and_marks_the_ids_before_it():
+    assert dectree.scan_ids([2, 0, 1], 3) == (-1, bytearray(b"\1\1\1"))
+    assert dectree.scan_ids([], 0) == (-1, bytearray())
+    assert dectree.scan_ids([2, 5, 2], 3) == (1, bytearray(b"\0\0\1"))  # a stray, then a repeat
+    assert dectree.scan_ids([2, 2, 5], 3) == (1, bytearray(b"\0\0\1"))  # a repeat, then a stray
+    assert dectree.scan_ids(iter([1, 0, -1]), 2)[0] == 2
+
+
 def test_validate_shared_child():
     with pytest.raises(TreeError, match="node 1"):
         from_nodes((leaf(0), ("T", 0, 0)), 1)
@@ -670,6 +686,29 @@ def test_load_refuses_as_loads_in_chunks_of_any_size(chunk, monkeypatch):
     for d, e in zip(data, expected):
         assert _columns_or_error(_load, d) == e
         assert _columns_or_error(dectree.loads, d) == e
+
+
+@pytest.mark.parametrize("chunk", [1, 4096])
+def test_reader_names_the_first_bad_vertex_in_order(chunk, monkeypatch):
+    # a stray before a repeat, and a repeat before a stray, where the stray
+    # fits the column, does not fit it, or has more digits than int() reads
+    monkeypatch.setattr(dectree, "CHUNK", chunk)
+    long = "9" * 5000
+    try:
+        int(long)  # Python 3.10 before 3.10.7 reads any number of digits
+        unreadable = f"leaf vertex {long[:24]} is repeated"
+    except ValueError:
+        unreadable = "a leaf vertex has more digits than int() reads"
+    for stray, message in (("5", "leaf vertex 5 is repeated"),
+                           ("4294967296", "leaf vertex 4294967296 is repeated"),
+                           (long, unreadable)):
+        for vertices, first in (((0, stray, 0), message),
+                                ((0, 0, stray), "leaf vertex 0 is repeated")):
+            text = ('{"op": "T", "l": {"op": "F", "l": {"leaf": %s}, "r": {"leaf": %s}}, '
+                    '"r": {"leaf": %s}}' % vertices).encode()
+            for read in (dectree.loads, _load):
+                with pytest.raises(TreeError, match="^" + re.escape(first)):
+                    read(text)
 
 
 def test_load_stops_reading_a_chunk_after_a_grammar_error():

@@ -80,6 +80,9 @@ def test_check_rejects_corrupted_certificates():
         (two_k2, [(6, 1, 2), (6, 0, 3)], r"node 6: pair \(1, 2\) is not an edge"),
         (two_k2, [(5, 0, 3)], r"node 5: pair \(0, 3\) is not an edge"),  # 0 is outside
         (p3, [(4, 0, 2)], r"node 4: pair \(0, 2\) is not an edge"),  # 2 left the TS
+        # the first fault in order: a stray before a repeat, a repeat before a stray
+        (p3, [(4, 1, 7), (4, 2, 1)], r"^vertex 7 is repeated or outside 0\.\.2$"),
+        (p3, [(4, 1, 2), (4, 1, 7)], r"^vertex 1 is repeated or outside 0\.\.2$"),
     ]:
         with pytest.raises(WitnessError, match=error):
             _check(t, pairs, dectree.children(t.labels))
