@@ -11,8 +11,8 @@ Standard output that cannot be written (a full disk, a closed pipe) is a
 usage error, exit 2. So are a graph without vertices given to
 `solve --graph`, as `gen --n 0` refuses an empty tree, and an `oracle`
 question without an answer: a twin set or k out of range, --k without
---ts, or a graph where gamma_k is undefined for every k. PDOM_SEED
-provides the default seed.
+--ts, or a graph where gamma_k is undefined for every k. `gen` and
+`bench` take --seed, 0 by default.
 
 `run` is the process entry point of the `pairdom` script and of
 `python -m pairdom`; `main(argv)` returns the exit code instead, for callers
@@ -45,16 +45,6 @@ class CliError(Exception):
     def __init__(self, message: str, code: int = EXIT_USAGE):
         super().__init__(message)
         self.code = code
-
-
-def _default_seed() -> int:
-    raw = os.environ.get("PDOM_SEED")
-    if raw is None:
-        return 0
-    try:
-        return int(raw)
-    except ValueError:
-        raise CliError(f"PDOM_SEED must be an integer, got {raw!r}")
 
 
 def _read(path: str) -> bytes:
@@ -102,26 +92,15 @@ def _load_tree(path: str):
         raise CliError(f"{path}: {exc}")
 
 
-def _parse_ids(raw: str) -> list[int]:
-    raw = raw.strip()
-    try:
-        return [int(tok) for tok in raw.replace(",", " ").split()]
-    except ValueError:
-        raise CliError(f"expected comma-separated vertex ids, got {raw!r}")
-
-
-def _set_ids(raw: str) -> list[int]:
-    """The ids of `check --set`, or of the file that "@PATH" names (no id
-    starts with "@"), where a bad token is named alone."""
-    if not raw.startswith("@"):
-        return _parse_ids(raw)
+def _parse_ids(text: str, where: str = "") -> list[int]:
+    """The vertex ids of a list split on commas and whitespace; a bad token
+    is named alone, after `where`."""
     ids = []
-    for tok in _read(raw[1:]).replace(b",", b" ").split():
+    for tok in text.replace(",", " ").split():
         try:
             ids.append(int(tok))
         except ValueError:
-            raise CliError(f"{raw[1:]}: expected comma-separated vertex ids, got "
-                           f"{tok.decode('ascii', 'backslashreplace')!r}")
+            raise CliError(f"{where}expected comma-separated vertex ids, got {tok!r}")
     return ids
 
 
@@ -209,9 +188,8 @@ def cmd_solve(args) -> int:
 def cmd_gen(args) -> int:
     if args.out_tree is None and args.out_graph is None:
         raise CliError("nothing to do: give --out-tree and/or --out-graph")
-    seed = args.seed if args.seed is not None else _default_seed()
     try:
-        tree = dectree.generate(args.n, seed, _parse_weights(args.weights))
+        tree = dectree.generate(args.n, args.seed, _parse_weights(args.weights))
     except dectree.TreeError as exc:
         raise CliError(str(exc))
     if args.out_tree:
@@ -231,7 +209,11 @@ def _parse_weights(raw: str) -> list[float]:
 
 def cmd_check(args) -> int:
     g = _load_graph(args.graph)
-    ids = _set_ids(args.set)
+    if args.set.startswith("@"):  # no vertex id starts with "@"
+        path = args.set[1:]
+        ids = _parse_ids(_read(path).decode("ascii", "backslashreplace"), f"{path}: ")
+    else:
+        ids = _parse_ids(args.set)
     k = dectree.scan_ids(ids, g.n)[0]
     if k >= 0:
         v = ids[k]
@@ -283,11 +265,10 @@ def cmd_bench(args) -> int:
         raise CliError("--sizes needs positive integers")
     if args.repeats < 1:
         raise CliError(f"--repeats must be >= 1, got {args.repeats}")
-    seed = args.seed if args.seed is not None else _default_seed()
     rows = []
     for n in sizes:
         t0 = time.perf_counter()
-        tree = dectree.generate(n, seed)
+        tree = dectree.generate(n, args.seed)
         t_gen = time.perf_counter() - t0
         # the tree's file, read as solve --tree reads it
         text = dectree.dumps(tree).encode()
@@ -316,7 +297,7 @@ def cmd_bench(args) -> int:
             # the process high-water mark so far, so it covers earlier sizes too
             "peak_rss_mb": None if peak is None else round(peak / (1 << 20), 1),
             "repeats": args.repeats,
-            "seed": seed,
+            "seed": args.seed,
         })
     header = (f"{'n':>10}  {'gen_s':>10}  {'loads_s':>10}  {'solve_s':>10}  "
               f"{'witness_s':>10}  {'us/leaf':>10}  {'peak_MB':>10}")
@@ -389,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="generate a random decomposition tree")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--weights", default="1,1,1",
                    help="true-twin,false-twin,attach label weights")
     p.add_argument("--out-tree")
@@ -398,13 +379,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="verify a paired-dominating set")
     p.add_argument("--graph", required=True)
-    p.add_argument("--set", required=True, help="comma-separated vertex ids")
+    p.add_argument("--set", required=True,
+                   help="comma-separated vertex ids, or @PATH to read them from a file")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("bench", help="in-process loads, solve and witness times, "
                                      "and peak memory")
     p.add_argument("--sizes", required=True, help="comma-separated leaf counts")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--repeats", type=int, default=3)
     p.set_defaults(func=cmd_bench)
 

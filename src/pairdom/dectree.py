@@ -7,8 +7,9 @@ vertices. Each subtree is a block of ids ending at its root, the left
 block right before the right, so an internal node i has right child i-1
 and left child the root of the subtree ending before that, and the root
 is the last node. Each walk is one loop, so no depth touches the call
-stack: children-first walks keep the finished subtrees on a stack or read
-the right child as i-1, and parents-first walks (`dumps`, the witness,
+stack: children-first walks keep the finished subtrees on a stack (their
+roots in `children`, twin lists in `expand`, twin-set sizes in
+`edge_count`) or read the right child as i-1, and parents-first walks (`dumps`, the witness,
 the `nodes` view) take child ids from one `children` pass. None of them
 checks the tree: a `DecompTree` is valid by construction. The trees that
 `generate` and recognition grow by merging subtrees are laid out by
@@ -28,8 +29,9 @@ import re
 import sys
 from array import array
 from bisect import bisect
+from collections.abc import Iterable, Iterator, Sequence
+from io import BufferedIOBase
 from itertools import accumulate, islice
-from typing import BinaryIO, Iterable, Iterator, Sequence
 
 from .graph import Graph
 from .record import Record
@@ -187,49 +189,38 @@ def children(labels: bytes) -> tuple[array, array]:
     return lefts, rights
 
 
-def twin_sets(t: DecompTree) -> Iterator[tuple]:
-    """The twin-set recurrence of the expansion, children first.
-
-    Yields (i, tag, ts_l, ts_r, ts) for each node i: its label column byte,
-    its children's twin lists (None for a leaf) and the list that becomes
-    its own. A leaf's is [vertex], an "A" node keeps its left child's, and
-    a "T" or "F" node appends the shorter child list to the longer (ts)
-    once the item is used, so a chain of joins costs linear time and ts is
-    whole once the walk has moved past it.
-    """
-    stack: list[list] = []  # the lists of the finished subtrees, the right one on top
-    vertex = iter(t.vertices).__next__
-    for i, tag in enumerate(t.labels):
-        if tag == LEAF_TAG:
-            ts = [vertex()]
-            stack.append(ts)
-            yield i, tag, None, None, ts
-            continue
-        ts_r = stack.pop()
-        ts_l = stack[-1]
-        ts = stack[-1] = ts_l if tag == ATTACH_TAG or len(ts_l) >= len(ts_r) else ts_r
-        yield i, tag, ts_l, ts_r, ts
-        if tag != ATTACH_TAG:
-            ts.extend(ts_r if ts is ts_l else ts_l)
-
-
 def expand(t: DecompTree) -> tuple[Graph, tuple[int, ...]]:
     """Materialize the graph described by the tree and its root twin set.
 
-    "T" and "A" nodes add a biclique between their children's twin sets,
-    "F" nodes add no edge. Each side's vertices take the other side onto
-    their neighbour lists, with no object per edge: two leaves meet at
-    exactly one node, so no edge comes twice.
+    One walk keeps the twin lists of the finished subtrees on a stack, the
+    right one on top. A leaf's is [vertex]. A "T" or "A" node adds a
+    biclique between its children's lists, each side's vertices taking the
+    other side onto their neighbour lists, with no object per edge: two
+    leaves meet at exactly one node, so no edge comes twice. An "A" node
+    keeps its left child's list, and a "T" or "F" node appends the shorter
+    child list to the longer, so a chain of joins costs linear time.
     """
     adj: list[list[int]] = [[] for _ in range(t.n_leaves)]
-    for _, tag, ts_l, ts_r, ts in twin_sets(t):
-        if tag == TRUE_TWIN_TAG or tag == ATTACH_TAG:
+    stack: list[list[int]] = []
+    vertex = iter(t.vertices).__next__
+    for tag in t.labels:
+        if tag == LEAF_TAG:
+            stack.append([vertex()])
+            continue
+        ts_r = stack.pop()
+        ts_l = stack[-1]
+        if tag != FALSE_TWIN_TAG:  # T or A: the biclique
             for u in ts_l:
                 adj[u].extend(ts_r)
             for v in ts_r:
                 adj[v].extend(ts_l)
+        if tag != ATTACH_TAG:  # T or F: the union, in the longer list
+            if len(ts_l) < len(ts_r):
+                ts_l, ts_r = ts_r, ts_l
+                stack[-1] = ts_l
+            ts_l.extend(ts_r)
     adjacency = tuple(tuple(sorted(a)) for a in adj)
-    return Graph(t.n_leaves, sum(map(len, adjacency)) // 2, adjacency), tuple(sorted(ts))
+    return Graph(t.n_leaves, sum(map(len, adjacency)) // 2, adjacency), tuple(sorted(stack[0]))
 
 
 def edge_count(t: DecompTree) -> int:
@@ -621,7 +612,7 @@ def _read(chunks: Iterator) -> DecompTree:
     return DecompTree._trusted(bytes(labels), vertices)
 
 
-def load(fp: BinaryIO) -> DecompTree:
+def load(fp: BufferedIOBase) -> DecompTree:
     """Read the nested JSON tree format from a binary file, `CHUNK` bytes
     at a time, without recursion. Besides the tree, it holds a chunk, the
     piece that runs over its end and the node events, a few bytes per leaf,

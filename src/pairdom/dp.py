@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from typing import Optional, Sequence
+from collections.abc import Sequence
 
 from . import dectree
 from .dectree import DecompTree
@@ -56,7 +56,7 @@ class DpError(RuntimeError):
 class SolveResult(Record):
     __slots__ = ("gamma_p", "states")
 
-    def __init__(self, gamma_p: float, states: Optional[Sequence[NodeState]]):
+    def __init__(self, gamma_p: float, states: Sequence[NodeState] | None):
         self.gamma_p = gamma_p
         self.states = states  # indexed by tree node id; None unless kept
 
@@ -178,7 +178,7 @@ def solve(t: DecompTree, *, keep_states: bool = True) -> SolveResult:
     once its parent's exists, unless the memo holds it."""
     # children come before parents, so one forward pass solves the tree; the
     # loop runs millions of times on benchmark trees, so no method calls in it
-    states: Optional[list[NodeState]] = [] if keep_states else None
+    states: list[NodeState] | None = [] if keep_states else None
     # without the list, a sink that drops each state, at the cost of the append
     append = states.append if keep_states else deque(maxlen=0).append
     # the states of the finished subtrees: the last one's in `top`, the

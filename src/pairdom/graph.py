@@ -6,8 +6,8 @@ that every operation downstream is deterministic.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from itertools import islice
-from typing import Iterable
 
 from .record import Record
 

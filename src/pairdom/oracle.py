@@ -8,8 +8,8 @@ that silently degrades is worse than none.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from itertools import combinations
-from typing import Optional, Sequence
 
 from .graph import Graph, has_perfect_matching_induced, is_dominating
 from .record import Record
@@ -34,7 +34,7 @@ def _guard(n: int, limit: int, what: str) -> None:
 class OracleNodeReport(Record):
     __slots__ = ("gamma_k", "min", "alpha", "beta", "mty_ts", "mty_pr", "gamma_p")
 
-    def __init__(self, gamma_k: tuple[Optional[int], ...], min: int, alpha: int,
+    def __init__(self, gamma_k: tuple[int | None, ...], min: int, alpha: int,
                  beta: int, mty_ts: bool, mty_pr: bool, gamma_p: float):
         self.gamma_k = gamma_k  # indexed 0..|ts|
         self.min = min
@@ -79,7 +79,7 @@ def _dk_feasible(g: Graph, s: tuple, ts: frozenset, k: int, match) -> bool:
     return any(match(sset - set(x)) for x in combinations(in_ts, k))
 
 
-def oracle_dk(g: Graph, ts, k: int) -> Optional[int]:
+def oracle_dk(g: Graph, ts, k: int) -> int | None:
     tset = frozenset(ts)
     _guard(g.n, MAX_N_DK, "oracle_dk")
     if not tset <= set(range(g.n)):
@@ -104,7 +104,7 @@ def oracle_node_state(g: Graph, ts) -> OracleNodeReport:
     match = _MatchMemo(g)
 
     # one sweep by increasing size fills the whole gamma_k table
-    table: list[Optional[int]] = [None] * (len(tset) + 1)
+    table: list[int | None] = [None] * (len(tset) + 1)
     for size in range(0, g.n + 1):
         open_ks = [k for k in range(len(tset) + 1)
                    if table[k] is None and k <= size and (size - k) % 2 == 0]

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import random
 from array import array
-from typing import Sequence
+from collections.abc import Sequence
 
 from . import dectree
 from .dectree import DecompTree

@@ -16,7 +16,7 @@ the tree alone in O(n). The child ids come from one `dectree.children` pass.
 from __future__ import annotations
 
 import functools
-from typing import Sequence
+from collections.abc import Sequence
 
 from .dectree import (ATTACH_TAG, FALSE_TWIN_TAG, LEAF_TAG, TRUE_TWIN_TAG, DecompTree,
                       children, scan_ids)

@@ -140,11 +140,20 @@ def leaf_vertex(t, node):
 
 
 def twin_set(t, node):
-    """Twin set of the subtree rooted at `node` of a valid tree."""
-    for i, tag, ts_l, ts_r, ts in dectree.twin_sets(t):
-        if i == node:
-            whole = ts if tag in (dectree.LEAF_TAG, dectree.ATTACH_TAG) else ts_l + ts_r
-            return tuple(sorted(whole))
+    """Twin set of the subtree rooted at `node`, from the node tuples alone:
+    a leaf's vertex, an A node's left child's set, or a T or F node's union
+    of both children's sets. A walk down from `node` with a stack."""
+    nodes = t.nodes
+    out, stack = [], [node]
+    while stack:
+        nd = nodes[stack.pop()]
+        if nd[0] == dectree.LEAF:
+            out.append(nd[1])
+        elif nd[0] == dectree.ATTACH:
+            stack.append(nd[1])
+        else:
+            stack += nd[1:]
+    return tuple(sorted(out))
 
 
 def node_state(min, alpha, beta, ts_size, gamma_p, mty_ts, mty_pr):

@@ -45,6 +45,14 @@ def test_import_cli_loads_no_unused_modules():
                               text=True, env=_pairdom_env(), timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]", modules
+    # typing costs about 3 ms per start; -S keeps a site .pth file from
+    # loading it before pairdom does
+    for modules in ("pairdom.cli", "pairdom.cli, pairdom.recognition, pairdom.witness"):
+        proc = subprocess.run([sys.executable, "-S", "-c",
+                               f"import sys, {modules}; print('typing' in sys.modules)"],
+                              capture_output=True, text=True, env=_pairdom_env(), timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False", modules
 
 
 def test_solve_graph(capsys, data_dir):
@@ -293,18 +301,16 @@ def test_gen_then_solve_finite_even(tmp_path, capsys):
         assert int(value) % 2 == 0
 
 
-def test_gen_seed_from_env(tmp_path, capsys, monkeypatch):
-    a, b = tmp_path / "a.json", tmp_path / "b.json"
+def test_gen_seed_defaults_to_0(tmp_path, capsys, monkeypatch):
+    # the seed comes from --seed alone; PDOM_SEED in the environment changes nothing
     monkeypatch.setenv("PDOM_SEED", "41")
-    run(capsys, "gen", "--n", "30", "--out-tree", str(a))
-    monkeypatch.delenv("PDOM_SEED")
-    run(capsys, "gen", "--n", "30", "--seed", "41", "--out-tree", str(b))
-    assert a.read_bytes() == b.read_bytes()
-    monkeypatch.setenv("PDOM_SEED", "x")
-    code, out, err = run(capsys, "gen", "--n", "30", "--out-tree", str(tmp_path / "c.json"))
-    assert (code, out) == (2, "")
-    assert err.startswith("error: PDOM_SEED must be an integer")
-    assert not (tmp_path / "c.json").exists()
+    outputs = []
+    for seed in ((), ("--seed", "0")):
+        tree, graph = tmp_path / f"t{len(seed)}.json", tmp_path / f"g{len(seed)}.txt"
+        assert run(capsys, "gen", "--n", "30", *seed, "--out-tree", str(tree),
+                   "--out-graph", str(graph)) == (0, "", "")
+        outputs.append((tree.read_bytes(), graph.read_bytes()))
+    assert outputs[0] == outputs[1]
 
 
 def test_check_pass_and_failures(capsys, data_dir, tmp_path):
@@ -427,13 +433,15 @@ def test_check_exits_3_naming_the_graphs_vertices(capsys, tmp_path):
      "bad --weights 'a,b,c'"),
     (["bench", "--sizes", "0"], "--sizes needs positive integers"),
     (["check", "--graph", "{data}/ex7.txt", "--set", "1,x"],
-     "expected comma-separated vertex ids, got '1,x'"),
+     "expected comma-separated vertex ids, got 'x'"),
     (["bench", "--sizes", "10k"], "--sizes needs positive integers"),
     (["oracle", "--graph", "{data}/ex7.txt", "--ts", "0,9"], "twin set [0, 9] not within 0..6"),
     (["oracle", "--graph", "{data}/ex7.txt", "--ts", "0", "--k", "5"],
      "k=5 out of range [0, 1]"),
     (["oracle", "--graph", "{data}/k1.txt", "--ts", ""], "gamma_k undefined for every k"),
     (["oracle", "--graph", "{data}/ex7.txt", "--k", "2"], "--k needs --ts"),
+    (["oracle", "--graph", "{data}/ex7.txt", "--ts", "0,x"],
+     "expected comma-separated vertex ids, got 'x'"),
 ])
 def test_usage_errors_exit_2(capsys, tmp_path, data_dir, argv):
     args, message = argv

@@ -246,7 +246,8 @@ def _reference_expansion(t):
 def test_expansion_equals_a_reference_edge_set(shape):
     for n in (1, 2, 40, 300):
         t = caterpillar(n, shape) if isinstance(shape, str) else dectree.generate(n, n, shape)
-        assert dectree.expand(t)[0] == _reference_expansion(t)
+        g, ts = dectree.expand(t)
+        assert g == _reference_expansion(t) and ts == twin_set(t, t.root)
 
 
 def test_expand_peak_is_at_most_64_bytes_per_edge():
