@@ -1,7 +1,7 @@
 """Paired domination on distance-hereditary graphs via decomposition trees."""
 
 from .dp import INF, NodeState, SolveResult, eval_gamma_k, leaf_state, solve
-from .graph import Graph, build_graph, is_paired_dominating
+from .graph import Graph, build_graph
 
 __all__ = [
     "INF",
@@ -10,7 +10,6 @@ __all__ = [
     "SolveResult",
     "build_graph",
     "eval_gamma_k",
-    "is_paired_dominating",
     "leaf_state",
     "solve",
 ]

@@ -4,9 +4,9 @@ Subcommands: solve, gen, check, bench, oracle. Exit codes: 0 success,
 1 failed check, 2 parse/usage error, 3 input not distance-hereditary,
 4 oracle size guard exceeded, 5 internal error (a self-check of
 recognition, the solver or the witness failed), 6 out of memory.
-`check --set D` decides whether G[D] has a perfect matching with the
-solver, in linear time, and exits 3 when G[D], so the graph, is not DH;
-`--set @PATH` reads D from a file, as a set too large for one argument.
+`check --set D` (`--set @PATH` reads D from a file, as a set too large for
+one argument) runs the linear verifier `recognition.paired_domination_fault`,
+and exits 3 when G[D], so the graph, is not DH.
 Standard output that cannot be written (a full disk, a closed pipe) is a
 usage error, exit 2. So are a graph without vertices given to
 `solve --graph`, as `gen --n 0` refuses an empty tree, and an `oracle`
@@ -27,10 +27,9 @@ import json
 import os
 import sys
 import time
-from array import array
 
 from . import dectree, dp
-from .graph import GraphError, build_graph, format_graph_text, is_dominating, parse_graph_text
+from .graph import GraphError, format_graph_text, parse_graph_text
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -93,8 +92,8 @@ def _load_tree(path: str):
 
 
 def _parse_ids(text: str, where: str = "") -> list[int]:
-    """The vertex ids of a list split on commas and whitespace; a bad token
-    is named alone, after `where`."""
+    """The integers of a list split on commas and whitespace: vertex ids,
+    or bench's sizes. A bad token is named alone, after `where`."""
     ids = []
     for tok in text.replace(",", " ").split():
         try:
@@ -146,8 +145,7 @@ def cmd_solve(args) -> int:
         try:
             tree = recognition.decompose(g)
         except recognition.NotDistanceHereditary as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_NOT_DH
+            raise CliError(str(exc), EXIT_NOT_DH)
     else:
         tree = _load_tree(args.tree)
         instance = args.tree
@@ -208,48 +206,22 @@ def _parse_weights(raw: str) -> list[float]:
 
 
 def cmd_check(args) -> int:
+    from . import recognition
+
     g = _load_graph(args.graph)
     if args.set.startswith("@"):  # no vertex id starts with "@"
         path = args.set[1:]
         ids = _parse_ids(_read(path).decode("ascii", "backslashreplace"), f"{path}: ")
     else:
         ids = _parse_ids(args.set)
-    k = dectree.scan_ids(ids, g.n)[0]
-    if k >= 0:
-        v = ids[k]
-        raise CliError(f"vertex {v} out of range for n={g.n}" if not 0 <= v < g.n
-                       else f"vertex {v} is listed more than once")
-    d = sorted(ids)
-    if len(d) % 2 == 1:
-        _print("fail: odd set size")
-        return EXIT_CHECK_FAILED
-    if not is_dominating(g, d, range(g.n)):
-        _print("fail: set is not dominating")
-        return EXIT_CHECK_FAILED
-    if d:  # decompose refuses the empty graph
-        from . import recognition
-
-        # each edge of G[D] once, from its end with the smaller local id
-        k, local = len(d), {v: i for i, v in enumerate(d)}
-        sub = build_graph(k, ((i, j) for i, v in enumerate(d)
-                              for w in g.adjacency[v] if (j := local.get(w, -1)) > i))
-        try:
-            tree = recognition.decompose(sub)
-        except recognition.NotDistanceHereditary as exc:
-            # G[D] is an induced subgraph of G, so G is not DH either
-            exc = recognition.NotDistanceHereditary(d[i] for i in exc.remnant)
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_NOT_DH
-        # G[D] has a perfect matching exactly when G[D] with a pendant k + v
-        # on each vertex v has gamma_p = k: a paired-dominating set holds v
-        # or k + v, and holds k + v only paired with v
-        pendants = dectree.DecompTree(tree.labels.replace(b"L", b"LLA"), array(
-            "i", [x for v in tree.vertices for x in (v, k + v)]))
-        if dp.solve(pendants, keep_states=False).gamma_p != k:
-            _print("fail: induced subgraph has no perfect matching")
-            return EXIT_CHECK_FAILED
-    _print("ok: paired-dominating")
-    return EXIT_OK
+    try:
+        fault = recognition.paired_domination_fault(g, ids)
+    except recognition.NotDistanceHereditary as exc:  # a ValueError, so caught first
+        raise CliError(str(exc), EXIT_NOT_DH)
+    except ValueError as exc:  # a repeated or out-of-range id
+        raise CliError(str(exc))
+    _print("ok: paired-dominating" if fault is None else f"fail: {fault}")
+    return EXIT_OK if fault is None else EXIT_CHECK_FAILED
 
 
 def cmd_bench(args) -> int:
@@ -258,8 +230,8 @@ def cmd_bench(args) -> int:
     from .witness import reconstruct_witness
 
     try:
-        sizes = [int(tok) for tok in args.sizes.replace(",", " ").split()]
-    except ValueError:
+        sizes = _parse_ids(args.sizes)
+    except CliError:
         sizes = []
     if not sizes or any(s < 1 for s in sizes):
         raise CliError("--sizes needs positive integers")

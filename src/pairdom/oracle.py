@@ -1,17 +1,18 @@
 """Exhaustive ground truth for everything the DP computes, at desk scale.
 
-Every function enumerates vertex subsets outright, ordered by size so the
-first feasible subset is minimum. Size guards are hard errors: an oracle
-that silently degrades is worse than none.
+Every oracle_* function enumerates vertex subsets outright, ordered by size
+so the first feasible subset is minimum; a backtracking search decides each
+subset's matching. Size guards are hard errors: an oracle that silently
+degrades is worse than none.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from itertools import combinations
 
-from .graph import Graph, has_perfect_matching_induced, is_dominating
+from .graph import Graph, is_dominating
 from .record import Record
 
 INF = math.inf
@@ -43,6 +44,52 @@ class OracleNodeReport(Record):
         self.mty_ts = mty_ts
         self.mty_pr = mty_pr
         self.gamma_p = gamma_p
+
+
+def has_perfect_matching_induced(g: Graph, s: Iterable[int]) -> bool:
+    """True iff the subgraph induced by `s` has a perfect matching.
+
+    Backtracking search on an explicit stack: the least unmatched vertex is
+    matched to each unmatched neighbour in turn. Exponential in the worst
+    case, so intended for desk-scale sets (|s| <= ~20), but a set that the
+    first choices already match (a path, say) is settled at any size.
+    """
+    order = sorted(set(s))
+    if len(order) % 2 == 1:
+        return False
+    free = set(order)
+    adjacency = g.adjacency
+    stack: list[list[int]] = []  # per matched vertex: [its index in order, neighbours tried]
+    pos = 0
+    while True:
+        while pos < len(order) and order[pos] not in free:
+            pos += 1
+        if pos == len(order):
+            return True
+        free.discard(order[pos])
+        stack.append([pos, 0])
+        while True:  # match the top vertex to its next free neighbour, or backtrack
+            top = stack[-1]
+            v_pos, j = top
+            nbrs = adjacency[order[v_pos]]
+            if j:
+                free.add(nbrs[j - 1])
+            while j < len(nbrs) and nbrs[j] not in free:
+                j += 1
+            if j < len(nbrs):
+                free.discard(nbrs[j])
+                top[1] = j + 1
+                pos = v_pos + 1
+                break
+            free.add(order[v_pos])
+            stack.pop()
+            if not stack:
+                return False
+
+
+def is_paired_dominating(g: Graph, d: Iterable[int]) -> bool:
+    dlist = sorted(set(d))
+    return is_dominating(g, dlist, range(g.n)) and has_perfect_matching_induced(g, dlist)
 
 
 class _MatchMemo:

@@ -1,4 +1,5 @@
-"""Recognize distance-hereditary graphs and build a decomposition tree.
+"""Recognize distance-hereditary graphs, build a decomposition tree, and
+verify a paired-dominating set with it (`paired_domination_fault`).
 
 A graph is distance-hereditary exactly when it prunes down to one vertex
 by repeatedly removing a pendant vertex, a true twin or a false twin
@@ -33,11 +34,11 @@ from __future__ import annotations
 
 import random
 from array import array
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 
-from . import dectree
+from . import dectree, dp
 from .dectree import DecompTree
-from .graph import Graph
+from .graph import Graph, build_graph, is_dominating
 
 
 class NotDistanceHereditary(ValueError):
@@ -142,11 +143,37 @@ def decompose(g: Graph) -> DecompTree:
     return result
 
 
-def is_distance_hereditary(g: Graph) -> bool:
-    if g.n == 0:
-        return True
+def paired_domination_fault(g: Graph, d: Iterable[int]) -> str | None:
+    """None when d is a paired-dominating set of g, else its first fault:
+    "odd set size", "set is not dominating" or "induced subgraph has no
+    perfect matching"; linear in g and G[D]. ValueError names the first id,
+    in d's order, out of range or repeated. NotDistanceHereditary names the
+    stuck remnant of G[D], an induced subgraph of g, in g's ids."""
+    d = list(d)
+    k = dectree.scan_ids(d, g.n)[0]
+    if k >= 0:
+        v = d[k]
+        raise ValueError(f"vertex {v} out of range for n={g.n}" if not 0 <= v < g.n
+                         else f"vertex {v} is listed more than once")
+    d.sort()
+    if len(d) % 2 == 1:
+        return "odd set size"
+    if not is_dominating(g, d, range(g.n)):
+        return "set is not dominating"
+    if not d:  # decompose refuses the empty graph
+        return None
+    # each edge of G[D] once, from its end with the smaller local id
+    k, local = len(d), {v: i for i, v in enumerate(d)}
+    sub = build_graph(k, ((i, j) for i, v in enumerate(d)
+                          for w in g.adjacency[v] if (j := local.get(w, -1)) > i))
     try:
-        decompose(g)
-        return True
-    except NotDistanceHereditary:
-        return False
+        tree = decompose(sub)
+    except NotDistanceHereditary as exc:
+        raise NotDistanceHereditary(d[i] for i in exc.remnant) from None
+    # G[D] has a perfect matching exactly when G[D] with a pendant k + v on
+    # each vertex v has gamma_p = k: a paired-dominating set holds v or
+    # k + v, and holds k + v only paired with v
+    pendants = DecompTree(tree.labels.replace(b"L", b"LLA"), array(
+        "i", [x for v in tree.vertices for x in (v, k + v)]))
+    matched = dp.solve(pendants, keep_states=False).gamma_p == k
+    return None if matched else "induced subgraph has no perfect matching"

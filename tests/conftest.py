@@ -7,6 +7,7 @@ import pytest
 
 from pairdom import dectree, dp
 from pairdom.graph import build_graph
+from pairdom.recognition import NotDistanceHereditary, decompose
 from pairdom.witness import reconstruct_witness
 
 DATA = Path(__file__).parent / "data"
@@ -229,6 +230,16 @@ def induced_subgraph(g, vertices):
 
 def cycle_graph(n):
     return build_graph(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def is_distance_hereditary(g):
+    if g.n == 0:
+        return True
+    try:
+        decompose(g)
+        return True
+    except NotDistanceHereditary:
+        return False
 
 
 def node_subproblems(t, g):

@@ -12,11 +12,12 @@ import time
 
 import pytest
 
-from conftest import (children, cycle_graph, is_leaf, label, node_subproblems,
-                      solve_with_witness)
+from conftest import (children, cycle_graph, is_distance_hereditary, is_leaf, label,
+                      node_subproblems, solve_with_witness)
 from pairdom import dectree, dp, oracle, recognition
 from pairdom.cli import main as cli_main
-from pairdom.graph import build_graph, is_paired_dominating
+from pairdom.graph import build_graph
+from pairdom.oracle import is_paired_dominating
 
 
 @pytest.fixture
@@ -143,11 +144,11 @@ def test_criterion_6_recognition_round_trip(report):
                  if rng.random() < p]
         graphs.append(build_graph(n, edges))
     for g in graphs:
-        if recognition.is_distance_hereditary(g) != oracle.oracle_is_dh(g):
+        if is_distance_hereditary(g) != oracle.oracle_is_dh(g):
             dh_bad += 1
     ok = rt_bad == 0 and dh_bad == 0
-    ok = ok and not recognition.is_distance_hereditary(cycle_graph(5))
-    ok = ok and not recognition.is_distance_hereditary(cycle_graph(6))
+    ok = ok and not is_distance_hereditary(cycle_graph(5))
+    ok = ok and not is_distance_hereditary(cycle_graph(6))
     report(6, ok, f"500 round-trips ({rt_bad} bad), {len(graphs)} recognizer "
                   f"vs oracle comparisons ({dh_bad} disagreements)")
 

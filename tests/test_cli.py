@@ -12,8 +12,8 @@ import pairdom
 from conftest import LABEL_MIXES, leaf
 from pairdom import cli, dectree
 from pairdom.cli import main
-from pairdom.graph import (format_graph_text, has_perfect_matching_induced,
-                           is_dominating, parse_graph_text)
+from pairdom.graph import format_graph_text, is_dominating, parse_graph_text
+from pairdom.oracle import has_perfect_matching_induced
 
 
 def run(capsys, *argv):
@@ -29,13 +29,18 @@ def _pairdom_env():
 
 
 def test_import_cli_loads_no_unused_modules():
-    # the tree path of solve must not pay for the oracle, recognition or witness
-    code = ("import sys, pairdom.cli; print(sorted(m for m in ('pairdom.oracle', "
-            "'pairdom.recognition', 'pairdom.witness') if m in sys.modules))")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=_pairdom_env(), timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    # the tree path of solve must not pay for the oracle, recognition or
+    # witness, the package not for the oracle or recognition, and the
+    # library verifier in recognition never for the brute force
+    for modules, unused in (
+            ("pairdom.cli", ("pairdom.oracle", "pairdom.recognition", "pairdom.witness")),
+            ("pairdom", ("pairdom.oracle", "pairdom.recognition")),
+            ("pairdom.recognition", ("pairdom.oracle",))):
+        code = f"import sys, {modules}; print([m for m in {unused!r} if m in sys.modules])"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=_pairdom_env(), timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]", modules
     # dataclasses imports inspect, which imports ast, dis and tokenize: about
     # a tenth of every CLI start, on the tree path and the graph path alike
     for modules in ("pairdom.cli", "pairdom.cli, pairdom.recognition"):

@@ -10,11 +10,10 @@ from pairdom.graph import (
     GraphError,
     build_graph,
     format_graph_text,
-    has_perfect_matching_induced,
     is_dominating,
-    is_paired_dominating,
     parse_graph_text,
 )
+from pairdom.oracle import has_perfect_matching_induced, is_paired_dominating
 
 
 def random_graph(draw):

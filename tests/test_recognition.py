@@ -4,10 +4,12 @@ import random
 
 import pytest
 
-from conftest import LABEL_MIXES, caterpillar, cycle_graph, find_reduction, induced_subgraph
+from conftest import (LABEL_MIXES, caterpillar, cycle_graph, find_reduction, induced_subgraph,
+                      is_distance_hereditary)
 from pairdom import dectree, dp, recognition
-from pairdom.graph import build_graph
-from pairdom.recognition import NotDistanceHereditary, decompose, is_distance_hereditary
+from pairdom.graph import build_graph, is_dominating
+from pairdom.oracle import has_perfect_matching_induced
+from pairdom.recognition import NotDistanceHereditary, decompose, paired_domination_fault
 
 
 def test_find_reduction_k2():
@@ -135,6 +137,35 @@ def test_is_dh_agrees_with_oracle_small():
                  if rng.random() < p]
         g = build_graph(n, edges)
         assert is_distance_hereditary(g) == oracle_is_dh(g), (seed, edges)
+
+
+def test_verifier_agrees_with_the_reference_on_every_small_dh_graph():
+    # bounded-exhaustive: every labelled DH graph on 1..5 vertices with
+    # every vertex subset, and every one on 6 vertices with D = V, against
+    # the domination test and the backtracking matching search
+    dh_graphs = dict.fromkeys(range(1, 7), 0)
+    for n in dh_graphs:
+        pairs = list(itertools.combinations(range(n), 2))
+        subsets = ([d for size in range(n + 1) for d in itertools.combinations(range(n), size)]
+                   if n <= 5 else [tuple(range(n))])
+        for mask in range(1 << len(pairs)):
+            g = build_graph(n, [e for i, e in enumerate(pairs) if mask >> i & 1])
+            if not is_distance_hereditary(g):
+                continue
+            dh_graphs[n] += 1
+            for d in subsets:
+                if len(d) % 2:
+                    expected = "odd set size"
+                elif not is_dominating(g, d, range(n)):
+                    expected = "set is not dominating"
+                elif not has_perfect_matching_induced(g, d):
+                    expected = "induced subgraph has no perfect matching"
+                else:
+                    expected = None
+                assert paired_domination_fault(g, d) == expected, (g.edges(), d)
+    # the labelled DH graphs on 1..6 vertices: C5, the house and the gem
+    # are the 132 graphs on 5 vertices left out
+    assert dh_graphs == {1: 1, 2: 2, 3: 8, 4: 64, 5: 892, 6: 18344}
 
 
 def _relabeled(g, seed):

@@ -6,8 +6,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import LABEL_MIXES, leaf, solve_with_witness
 from pairdom import dectree, dp
 from pairdom.dectree import ATTACH_TAG, FALSE_TWIN_TAG, LEAF_TAG, from_nodes
-from pairdom.graph import is_paired_dominating
-from pairdom.oracle import oracle_gamma_p
+from pairdom.oracle import is_paired_dominating, oracle_gamma_p
 from pairdom.witness import (DOM, HIT, WitnessError, _certificate, _check, _split,
                              reconstruct_witness)
 
