@@ -225,6 +225,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    import platform
     import statistics
 
     from .witness import reconstruct_witness
@@ -270,6 +271,9 @@ def cmd_bench(args) -> int:
             "peak_rss_mb": None if peak is None else round(peak / (1 << 20), 1),
             "repeats": args.repeats,
             "seed": args.seed,
+            # the timings differ between Python versions and machines
+            "python": platform.python_version(),
+            "cpu_count": os.cpu_count(),
         })
     header = (f"{'n':>10}  {'gen_s':>10}  {'loads_s':>10}  {'solve_s':>10}  "
               f"{'witness_s':>10}  {'us/leaf':>10}  {'peak_MB':>10}")

@@ -26,7 +26,6 @@ import json
 import math
 import random
 import re
-import sys
 from array import array
 from bisect import bisect
 from collections.abc import Iterable, Iterator, Sequence
@@ -377,8 +376,6 @@ def dumps(t: DecompTree) -> str:
 _PIECES = ((rb'(?<=[}"])', ('~}', '~,~"r"~:', '~,~"op"~:~"X"')),
            (rb'(?<![}"])', ('~{~"leaf"~:~#~}', '~{~"op"~:~"X"~,~"l"~:', '~{~"l"~:')))
 _ATOMS = {"~": (rb"[ \t\n\r]*+",), "#": (rb"-?+", rb"(?:0|[1-9][0-9]*+)"), "X": (rb"[TFA]",)}
-# Python 3.10 has no possessive repeats, so there the "+"s are dropped
-_POSSESSIVE = b"+" if sys.version_info >= (3, 11) else b""
 
 
 def _pattern(trie: dict, prefixes: bool) -> bytes:
@@ -402,19 +399,18 @@ def _source(prefixes: bool, tail: bytes) -> bytes:
                 for atom in _ATOMS.get(ch, (re.escape(ch.encode()),)):
                     node = node.setdefault(atom, {})
         groups.append(look_behind + _pattern(trie, prefixes))
-    return (b"(?:%s)" % b"|".join(groups) + tail).replace(b"+", _POSSESSIVE)
+    return b"(?:%s)" % b"|".join(groups) + tail
 
 
-# _SHAPE matches whole pieces, each with the whitespace before it. Its
-# repeats are possessive, which keeps no backtracking state; an ordinary
-# repeat keeps about 850 bytes per piece, so one match covers at most 256
-# pieces. _PREFIX matches what may still grow into a piece: the rest of the
+# _SHAPE matches a run of whole pieces, each with the whitespace before it.
+# Its repeats are possessive, so the match keeps no backtracking state and
+# one match covers a chunk's pieces in constant memory, however many there
+# are. _PREFIX matches what may still grow into a piece: the rest of the
 # text. Few texts need it, so it is compiled, and cached by `re`, on first use.
-_SHAPE = re.compile(_source(False, b"{0,256}+"))
+_SHAPE = re.compile(_source(False, b"*+"))
 _PREFIX = _source(True, rb"\Z")
 _WS = b" \t\n\r"
-_WS_RUN, _DIGIT_RUN = (re.compile(run.replace(b"+", _POSSESSIVE))
-                       for run in (rb"[ \t\n\r]*+", rb"[0-9]*+"))
+_WS_RUN, _DIGIT_RUN = re.compile(rb"[ \t\n\r]*+"), re.compile(rb"[0-9]*+")
 # bytes that `load` reads at a time, and the size of the slices that `loads`
 # reads its text in: about the most of the text the reader holds at once
 CHUNK = 1 << 16
@@ -499,8 +495,9 @@ def _read(chunks: Iterator) -> DecompTree:
     """The tree of the text that `chunks` yields, a bytes-like piece at a
     time; `load` and `loads` are this reader.
 
-    Per chunk, C does the per-character work: `_SHAPE` matches the whole
-    pieces, `translate` turns them into the vertex and event streams, and
+    Per chunk, C does the per-character work: one possessive `_SHAPE`
+    match finds all the whole pieces, with no state kept per piece,
+    `translate` turns them into the vertex and event streams, and
     `json.loads` reads the vertices into their column. What is left is
     kept, with the byte before it for the look-behinds, for the next chunk.
     A chunk that adds no whole piece has `_PREFIX` check that what is left
@@ -530,12 +527,7 @@ def _read(chunks: Iterator) -> DecompTree:
         del chunk
         if prefix and _lengthens_run(buf, start, end):
             continue
-        pos = start
-        while True:
-            end = _SHAPE.match(buf, pos).end()
-            if end == pos:
-                break
-            pos = end
+        pos = _SHAPE.match(buf, start).end()
         prefix = pos == start
         if prefix:  # what is left must be able to grow into a piece
             if not re.compile(_PREFIX).match(buf, pos):

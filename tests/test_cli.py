@@ -1,6 +1,7 @@
 import importlib
 import json
 import os
+import platform
 import random
 import subprocess
 import sys
@@ -501,6 +502,8 @@ def test_bench_single_row(capsys):
     assert rows[0]["n"] == 500 and rows[0]["median_solve_s"] >= 0
     assert rows[0]["median_loads_s"] >= 0
     assert rows[0]["median_witness_s"] >= 0
+    assert rows[0]["python"] == platform.python_version()
+    assert rows[0]["cpu_count"] == os.cpu_count()
 
 
 def test_bench_reports_the_peak_rss_after_each_size(capsys):
