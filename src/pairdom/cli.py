@@ -10,9 +10,9 @@ and exits 3 when G[D], so the graph, is not DH.
 Standard output that cannot be written (a full disk, a closed pipe) is a
 usage error, exit 2. So are a graph without vertices given to
 `solve --graph`, as `gen --n 0` refuses an empty tree, and an `oracle`
-question without an answer: a twin set or k out of range, --k without
---ts, or a graph where gamma_k is undefined for every k. `gen` and
-`bench` take --seed, 0 by default.
+question without an answer: a twin set with a vertex out of range or
+listed twice, k out of range, --k without --ts, or a graph where gamma_k
+is undefined for every k. `gen` and `bench` take --seed, 0 by default.
 
 `run` is the process entry point of the `pairdom` script and of
 `python -m pairdom`; `main(argv)` returns the exit code instead, for callers
@@ -135,7 +135,7 @@ def cmd_solve(args) -> int:
     if (args.graph is None) == (args.tree is None):
         raise CliError("exactly one of --graph/--tree is required")
     t0 = time.perf_counter()
-    if args.graph:
+    if args.graph is not None:
         from . import recognition
 
         g = _load_graph(args.graph)
@@ -190,9 +190,9 @@ def cmd_gen(args) -> int:
         tree = dectree.generate(args.n, args.seed, _parse_weights(args.weights))
     except dectree.TreeError as exc:
         raise CliError(str(exc))
-    if args.out_tree:
+    if args.out_tree is not None:
         _write(args.out_tree, dectree.dumps(tree))
-    if args.out_graph:
+    if args.out_graph is not None:
         g, _ = dectree.expand(tree)
         _write(args.out_graph, format_graph_text(g))
     return EXIT_OK
@@ -300,6 +300,9 @@ def cmd_oracle(args) -> int:
             _print(_gamma_str(gamma))
             return EXIT_OK
         ts = _parse_ids(args.ts)
+        k = dectree.scan_ids(ts, g.n)[0]
+        if k >= 0 and 0 <= ts[k] < g.n:  # a repeat; the oracle names a stray
+            raise CliError(f"vertex {ts[k]} is listed more than once")
         if args.k is not None:
             val = oracle.oracle_dk(g, ts, args.k)
             _print("none" if val is None else str(val))

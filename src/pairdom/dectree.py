@@ -9,8 +9,9 @@ and left child the root of the subtree ending before that, and the root
 is the last node. Each walk is one loop, so no depth touches the call
 stack: children-first walks keep the finished subtrees on a stack (their
 roots in `children`, twin lists in `expand`, twin-set sizes in
-`edge_count`) or read the right child as i-1, and parents-first walks (`dumps`, the witness,
-the `nodes` view) take child ids from one `children` pass. None of them
+`edge_count`) or read the right child as i-1, and parents-first walks
+(`dumps`, the witness, the `nodes` view) take the left child ids from one
+`children` pass and read the right child as i-1 too. None of them
 checks the tree: a `DecompTree` is valid by construction. The trees that
 `generate` and recognition grow by merging subtrees are laid out by
 `_from_merges`. `DecompTree.nodes` shows the tree as tuples, ("leaf",
@@ -90,10 +91,10 @@ class DecompTree(Record):
     def nodes(self) -> tuple[tuple, ...]:
         """The nodes as tuples, ("leaf", vertex) or (label, left, right): a
         read-only view built on each access."""
-        lefts, rights = children(self.labels)
+        lefts = children(self.labels)
         vertex = iter(self.vertices).__next__
-        return tuple((LEAF, vertex()) if tag == LEAF_TAG else (chr(tag), lt, rt)
-                     for tag, lt, rt in zip(self.labels, lefts, rights))
+        return tuple((LEAF, vertex()) if tag == LEAF_TAG else (chr(tag), lefts[i], i - 1)
+                     for i, tag in enumerate(self.labels))
 
 
 def from_nodes(nodes: Iterable[tuple], root: int) -> DecompTree:
@@ -163,12 +164,12 @@ def scan_ids(ids: Iterable[int], n: int) -> tuple[int, bytearray]:
     return -1, marks
 
 
-def children(labels: bytes) -> tuple[array, array]:
-    """The columns of left and right child ids, 0 for a leaf, from one pass
-    with the roots of the finished subtrees on a stack. TreeError names the
-    node where the labels are not one tree in post-order."""
-    n_nodes = len(labels)
-    lefts, rights = array("i", bytes(4 * n_nodes)), array("i", bytes(4 * n_nodes))
+def children(labels: bytes) -> array:
+    """The column of left child ids, 0 for a leaf, from one pass with the
+    roots of the finished subtrees on a stack. An internal node i's right
+    child, the top of that stack, is always i-1, so no column holds it.
+    TreeError names the node where the labels are not one tree in post-order."""
+    lefts = array("i", bytes(4 * len(labels)))
     roots: list[int] = []
     push, pop = roots.append, roots.pop
     try:
@@ -176,7 +177,7 @@ def children(labels: bytes) -> tuple[array, array]:
             if tag == LEAF_TAG:
                 push(i)
             else:
-                rights[i] = pop()
+                pop()
                 lefts[i] = roots[-1]
                 roots[-1] = i
     except IndexError:
@@ -185,7 +186,7 @@ def children(labels: bytes) -> tuple[array, array]:
     if len(roots) != 1:
         raise TreeError(f"the subtrees rooted at nodes {roots[:-1]} are outside the "
                         "root's subtree" if roots else "the tree has no nodes")
-    return lefts, rights
+    return lefts
 
 
 def expand(t: DecompTree) -> tuple[Graph, tuple[int, ...]]:
@@ -335,7 +336,7 @@ def dumps(t: DecompTree) -> str:
     have gathered, which keeps the memory near the text's size.
     """
     labels = t.labels
-    lefts, rights = children(labels)
+    lefts = children(labels)
     vertex = iter(t.vertices).__next__
     opening = {tag: '{"op": "%c", "l": ' % tag for tag in LABEL_TAGS}
     chunks: list[str] = []
@@ -355,7 +356,7 @@ def dumps(t: DecompTree) -> str:
         else:
             emit(opening[labels[x]])
             push("}")
-            push(rights[x])
+            push(x - 1)
             push(', "r": ')
             push(lefts[x])
     out.append("\n")
@@ -434,22 +435,19 @@ _FOLDS = ((b"{f}r", b"1"),  # a leaf, then the separator: a left child
           (b"{f}}", b"2"),  # a leaf, then its parent's closing brace
           (b"{f}", b"0"),   # a leaf, then a late label
           (b"{T", b"t"), (b"{F", b"f"), (b"{A", b"a"))
-# The stack entry of an open node: minus its label, or -1 while it has
-# none; its separator pushes a 0 above it. Indexed by the event byte of an opening (lower
-# case or "{") or of a late label; the entries are shared int objects, so a
-# deep stack costs one pointer per open node.
-_MARK = [0] * 128
-for _tag in LABEL_TAGS:
-    _MARK[_tag] = _MARK[_tag | 32] = -_tag
-_MARK[ord("{")] = -1
-del _tag
+# The stack entry of an open node is its label byte, 0 until the label
+# comes, plus 128 once its separator has come. _OPENED holds the entry that
+# an opening pushes, by its event byte ("{" or lower case). The entries are
+# below 256, so shared int objects, and a deep stack costs one pointer per
+# open node.
+_OPENED = {ord("{"): 0} | {tag | 32: tag for tag in LABEL_TAGS}
 
 
-def _lengthens_run(buf: bytearray, start: int, end: int) -> bool:
+def _lengthens_run(buf: bytearray, end: int) -> bool:
     """Whether buf[end:] only lengthens the whitespace or digit run that
-    ends buf[start:end], a prefix of a piece, so that buf[start:] is one as
-    well and holds no whole piece. A number's digits may go on unless it is
-    a lone 0."""
+    ends buf[:end], where the unread prefix of a piece ends, so that the
+    longer prefix is one as well and holds no whole piece. A number's
+    digits may go on unless it is a lone 0."""
     last = buf[end - 1]
     if last in _WS:
         return _WS_RUN.fullmatch(buf, end) is not None
@@ -509,8 +507,8 @@ def _read(chunks: Iterator) -> DecompTree:
     last piece is taken once the text ends.
 
     Then `scan_ids` checks that the leaves carry 0..n-1, and one Python step
-    per event fills the labels: each open node keeps its label, and a mark
-    once its separator has come, on a stack, and takes its id when it
+    per event fills the labels: each open node keeps one entry on a stack,
+    its label and whether its separator has come, and takes its id when it
     closes, so the nodes come out in post-order and files of any nesting
     depth load. A grammar error names the text offset, a structure error
     the node or the leaf vertex.
@@ -518,14 +516,13 @@ def _read(chunks: Iterator) -> DecompTree:
     buf = bytearray()  # the byte before `start`, once the text has one, then the rest
     base = start = 0   # the text offset of buf[0]; where the unread prefix starts
     events, vertices = bytearray(), array("i")
-    n = 0
     bad = None  # the digits of the first vertex that the column cannot hold
     prefix = False  # whether buf[start:] is known to be a prefix of a piece
     for chunk in chunks:
         end = len(buf)
         buf += chunk
         del chunk
-        if prefix and _lengthens_run(buf, start, end):
+        if prefix and _lengthens_run(buf, end):
             continue
         pos = _SHAPE.match(buf, start).end()
         prefix = pos == start
@@ -537,11 +534,9 @@ def _read(chunks: Iterator) -> DecompTree:
         rest = buf[pos - start:]
         del buf[pos - start:]  # buf is now the whole pieces
         events += buf.translate(None, _NOT_EVENT)
-        stream = buf.translate(_COMMA_FOR_F, _NOT_VERTEX)  # ",v,v,...,v"
-        if stream:
-            n += stream.count(b",")
-            if bad is None:
-                bad = _append_vertices(vertices, stream)
+        if bad is None:
+            stream = buf.translate(_COMMA_FOR_F, _NOT_VERTEX)  # ",v,v,...,v"
+            bad = _append_vertices(vertices, stream)
         del buf[:-1]
         buf += rest
         base += pos - 1
@@ -551,6 +546,7 @@ def _read(chunks: Iterator) -> DecompTree:
     size = base + len(buf)
     del buf
 
+    n = events.count(b"f")  # one per leaf
     k = scan_ids(vertices, n)[0]
     fault = bad if k < 0 else b"%d" % vertices[k]
     if fault is not None:
@@ -565,7 +561,7 @@ def _read(chunks: Iterator) -> DecompTree:
     for piece, event in _FOLDS:
         events = events.replace(piece, event)
     labels = bytearray([LEAF_TAG]) * n_nodes
-    mark = _MARK
+    opened = _OPENED
     stack: list[int] = []
     push, pop = stack.append, stack.pop
     i = 0  # the next node's id
@@ -576,27 +572,27 @@ def _read(chunks: Iterator) -> DecompTree:
                 if e == 48:
                     continue
             if e == 125 or e == 50:  # a closing brace
-                split = pop()
-                if split < 0:
+                top = pop()
+                if top < 128:
                     raise TreeError(f'node {i}: an internal node without an "r" child')
-                tag = pop()
-                if tag == -1:
+                if top == 128:
                     raise TreeError(f'node {i}: an internal node without an "op" label')
-                labels[i] = -tag
+                labels[i] = top - 128
                 i += 1
             elif e == 114 or e == 49:  # the separator
-                if stack[-1] >= 0:
+                top = stack[-1]
+                if top >= 128:
                     raise TreeError(f'after node {i - 1}: an internal node with a '
                                     'second "r" child')
-                push(0)
+                stack[-1] = top + 128
             elif e > 96:  # an opening
-                push(mark[e])
+                push(opened[e])
             else:  # a label after a child
-                top = -1 if stack[-1] < 0 else -2
-                if stack[top] != -1:
+                top = stack[-1]
+                if top & 127:
                     raise TreeError(f'after node {i - 1}: an internal node with a '
                                     'second "op" label')
-                stack[top] = mark[e]
+                stack[-1] = top + e
     except IndexError:  # the stack is empty: nothing is open
         raise TreeError(f"the text goes on after the root, node {i - 1}") from None
     if stack or not i:

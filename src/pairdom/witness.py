@@ -10,7 +10,8 @@ case of `dp` that formed the node's state. The upward loop (children
 first) forms the pairs across T and A bicliques; each node hands its
 exempt vertices and its twin-set vertices not in D up as two lists, the
 shorter appended to the longer. `_check` then verifies the pairs against
-the tree alone in O(n). The child ids come from one `dectree.children` pass.
+the tree alone in O(n). The left child ids come from one `dectree.children`
+pass; node i's right child is i - 1.
 """
 
 from __future__ import annotations
@@ -111,23 +112,22 @@ def _merge(a: list, b: list) -> list:
 
 
 def _certificate(t: DecompTree, states: Sequence[NodeState],
-                 kids: tuple) -> list[tuple[int, int, int]]:
+                 lefts: Sequence[int]) -> list[tuple[int, int, int]]:
     """The pairs (node, u, v) of a minimum paired-dominating set of the
     tree's graph: u and v are matched, and `node` is the T or A node whose
-    biclique joins them (u on its left, v on its right). `kids` is
+    biclique joins them (u on its left, v on its right). `lefts` is
     `children(t.labels)`."""
     labels = t.labels
-    lefts, rights = kids
     n_nodes = len(labels)
     if states[t.root][GAMMA_P] == INF:
         raise WitnessError("gamma_p is infinite: no witness exists")
     want = [0] * n_nodes  # per node: the k of its request, or PDS
     need = bytearray(n_nodes)  # HIT/DOM needs of a k = 0 request, PAIR
     want[t.root] = PDS
-    for i, tag, left, right in zip(range(t.root, -1, -1), reversed(labels),
-                                   reversed(lefts), reversed(rights)):
+    for i, tag, left in zip(range(t.root, -1, -1), reversed(labels), reversed(lefts)):
         if tag == LEAF_TAG:
             continue
+        right = i - 1
         k = want[i]
         if k == PDS:
             if tag == FALSE_TWIN_TAG:  # two components: one set for each
@@ -161,14 +161,14 @@ def _certificate(t: DecompTree, states: Sequence[NodeState],
     return pairs
 
 
-def _check(t: DecompTree, pairs: Sequence[tuple[int, int, int]], kids: tuple) -> None:
+def _check(t: DecompTree, pairs: Sequence[tuple[int, int, int]],
+           lefts: Sequence[int]) -> None:
     """Raise WitnessError unless the pairs (node, u, v) are edges of the
     tree's graph on distinct vertices that dominate it. u and v are adjacent
     when the T or A node's left child's twin set holds u and its right
     child's holds v; v is dominated when it is in D or a D vertex outside a
-    subtree sees a twin set that holds v. `kids` is `children(t.labels)`."""
+    subtree sees a twin set that holds v. `lefts` is `children(t.labels)`."""
     labels, vertices = t.labels, t.vertices
-    lefts, rights = kids
     n_nodes = len(labels)
     n = t.n_leaves
     k, in_d = scan_ids((w for _, u, v in pairs for w in (u, v)), n)
@@ -181,34 +181,34 @@ def _check(t: DecompTree, pairs: Sequence[tuple[int, int, int]], kids: tuple) ->
     first = [0] * n_nodes
     hit = bytearray(n_nodes)
     vertex = iter(vertices).__next__
-    for i, (tag, left, right) in enumerate(zip(labels, lefts, rights)):
+    for i, (tag, left) in enumerate(zip(labels, lefts)):
         if tag == LEAF_TAG:
             v = vertex()
             leaf_of[v] = first[i] = i
             hit[i] = in_d[v]
         else:
             first[i] = first[left]
-            hit[i] = hit[left] or (tag != ATTACH_TAG and hit[right])
+            hit[i] = hit[left] or (tag != ATTACH_TAG and hit[i - 1])
     # parents first: whether a D vertex outside the subtree sees the whole
     # twin set, and the highest node whose twin set still holds it
     seen = bytearray(n_nodes)
     top = [0] * n_nodes
     top[t.root] = t.root
     vertex = reversed(vertices).__next__
-    for i, tag, left, right in zip(range(t.root, -1, -1), reversed(labels),
-                                   reversed(lefts), reversed(rights)):
+    for i, tag, left in zip(range(t.root, -1, -1), reversed(labels), reversed(lefts)):
         if tag == LEAF_TAG:
             v = vertex()
             if not (seen[i] or in_d[v]):
                 raise WitnessError(f"vertex {v} is not dominated")
             continue
+        right = i - 1
         join = tag != FALSE_TWIN_TAG
         seen[left] = seen[i] or (join and hit[right])
         seen[right] = (seen[i] and tag != ATTACH_TAG) or (join and hit[left])
         top[left] = top[i]
         top[right] = right if tag == ATTACH_TAG else top[i]
     for j, u, v in pairs:
-        left, right = lefts[j], rights[j]
+        left, right = lefts[j], j - 1
         x, y = leaf_of[u], leaf_of[v]
         if (labels[j] not in (TRUE_TWIN_TAG, ATTACH_TAG)
                 or not first[left] <= x <= left < y <= right
@@ -218,9 +218,9 @@ def _check(t: DecompTree, pairs: Sequence[tuple[int, int, int]], kids: tuple) ->
 
 def reconstruct_witness(t: DecompTree, states: Sequence[NodeState]) -> tuple[int, ...]:
     """A minimum paired-dominating set of the tree's graph, sorted."""
-    kids = children(t.labels)
-    pairs = _certificate(t, states, kids)
-    _check(t, pairs, kids)
+    lefts = children(t.labels)
+    pairs = _certificate(t, states, lefts)
+    _check(t, pairs, lefts)
     gamma_p = states[t.root][GAMMA_P]
     if 2 * len(pairs) != gamma_p:
         raise WitnessError(f"witness size {2 * len(pairs)} != gamma_p {gamma_p}")

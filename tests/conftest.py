@@ -113,8 +113,7 @@ def label(t, node):
 
 
 def children(t, node):
-    lefts, rights = dectree.children(t.labels)
-    return lefts[node], rights[node]
+    return dectree.children(t.labels)[node], node - 1
 
 
 def post_order(labels, lefts, rights, root):
@@ -173,11 +172,11 @@ def reference_states(t):
     """Per-node solver states from a plain loop that combines every internal
     node from its children's states, with no memo."""
     states = []
-    for tag, left, right in zip(t.labels, *dectree.children(t.labels)):
+    for i, (tag, left) in enumerate(zip(t.labels, dectree.children(t.labels))):
         if tag == dectree.LEAF_TAG:
             states.append(dp.leaf_state())
         else:
-            states.append(_COMBINE[tag](states[left], states[right]))
+            states.append(_COMBINE[tag](states[left], states[i - 1]))
     return states
 
 

@@ -448,6 +448,16 @@ def test_check_exits_3_naming_the_graphs_vertices(capsys, tmp_path):
     (["oracle", "--graph", "{data}/ex7.txt", "--k", "2"], "--k needs --ts"),
     (["oracle", "--graph", "{data}/ex7.txt", "--ts", "0,x"],
      "expected comma-separated vertex ids, got 'x'"),
+    # a twin set lists each vertex once; the first fault in order is named
+    (["oracle", "--graph", "{data}/ex7.txt", "--ts", "0,0"], "vertex 0 is listed more than once"),
+    (["oracle", "--graph", "{data}/ex7.txt", "--ts", "2,2,9", "--k", "1"],
+     "vertex 2 is listed more than once"),
+    (["oracle", "--graph", "{data}/ex7.txt", "--ts", "2,9,2"], "twin set [2, 9] not within 0..6"),
+    # an empty path is a path that cannot be opened
+    (["gen", "--n", "5", "--out-tree", ""], "cannot write : "),
+    (["gen", "--n", "5", "--out-graph", ""], "cannot write : "),
+    (["solve", "--graph", ""], "cannot read : "),
+    (["solve", "--tree", ""], "cannot read : "),
 ])
 def test_usage_errors_exit_2(capsys, tmp_path, data_dir, argv):
     args, message = argv

@@ -224,14 +224,14 @@ def test_edge_count_equals_the_expansion(shape):
 def _reference_expansion(t):
     """The expansion as a set of edges: each node copies its twin list from
     its children's, and each T or A node adds the pairs across them."""
-    lefts, rights = dectree.children(t.labels)
+    lefts = dectree.children(t.labels)
     vertex = iter(t.vertices).__next__
     twins, edges = [], set()
     for i, tag in enumerate(t.labels):
         if tag == dectree.LEAF_TAG:
             twins.append([vertex()])
             continue
-        left, right = twins[lefts[i]], twins[rights[i]]
+        left, right = twins[lefts[i]], twins[i - 1]
         if tag != dectree.FALSE_TWIN_TAG:
             edges.update(frozenset((u, v)) for u in left for v in right)
         twins.append(left if tag == dectree.ATTACH_TAG else left + right)
@@ -716,19 +716,19 @@ def test_load_stops_reading_a_chunk_after_a_grammar_error():
 
 def test_load_holds_a_chunk_and_per_leaf_columns_not_the_file(tmp_path, monkeypatch):
     # the path caterpillar nests 30 000 objects deep, so its event loop holds
-    # two stack entries per leaf. Padding every ": " with whitespace makes the
+    # one stack entry per leaf. Padding every ": " with whitespace makes the
     # file ten times larger and must not move the peak. A chunk of the file's
     # size is read and matched whole: the peak is the chunk and its copy in
     # the buffer, with no state kept per piece by the match
     n = 30_000
     text = dectree.dumps(caterpillar(n, "path"))
     default = dectree.CHUNK
-    bound = default + 32 * n
+    bound = default + 20 * n
     path = tmp_path / "path.json"
     for padding in ("", " " * 100):
         path.write_text(text.replace(": ", ": " + padding))
         size = path.stat().st_size
-        for chunk, chunk_bound in ((default, bound), (size, 2 * size + 32 * n)):
+        for chunk, chunk_bound in ((default, bound), (size, 2 * size + 20 * n)):
             monkeypatch.setattr(dectree, "CHUNK", chunk)
             with open(path, "rb") as fh:
                 tracemalloc.start()

@@ -70,8 +70,8 @@ def test_check_rejects_corrupted_certificates():
     bowtie = from_nodes((leaf(0), leaf(3), ("T", 0, 1), leaf(1), leaf(2), leaf(4),
                          ("T", 4, 5), ("A", 3, 6), ("T", 2, 7)), 8)
     for t in (two_k2, p3, bowtie):
-        kids = dectree.children(t.labels)
-        _check(t, _certificate(t, dp.solve(t).states, kids), kids)
+        lefts = dectree.children(t.labels)
+        _check(t, _certificate(t, dp.solve(t).states, lefts), lefts)
     for t, pairs, error in [
         (two_k2, [(2, 0, 1)], "vertex [23] is not dominated"),  # a pair dropped
         (bowtie, [(2, 0, 3)], "vertex [24] is not dominated"),  # only 1 sees 2, 4
@@ -129,10 +129,10 @@ def _check_every_split(t):
     allow, and check the split against the curves; return the request count."""
     states = dp.solve(t).states
     requests = 0
-    for i, (tag, left, right) in enumerate(zip(t.labels, *dectree.children(t.labels))):
+    for i, (tag, left) in enumerate(zip(t.labels, dectree.children(t.labels))):
         if tag == LEAF_TAG:
             continue
-        s, sl, sr = states[i], states[left], states[right]
+        s, sl, sr = states[i], states[left], states[i - 1]
         for k in range(s[dp.TS_SIZE] + 1):
             target = dp.eval_gamma_k(s, k)
             for need in (range(4) if k == 0 else (0,)):
