@@ -13,6 +13,8 @@ usage error, exit 2. So are a graph without vertices given to
 question without an answer: a twin set with a vertex out of range or
 listed twice, k out of range, --k without --ts, or a graph where gamma_k
 is undefined for every k. `gen` and `bench` take --seed, 0 by default.
+`bench` times the pipeline of `solve --tree` and `solve --tree --witness`
+in-process on generated trees, and prints one JSON object per size.
 
 `run` is the process entry point of the `pairdom` script and of
 `python -m pairdom`; `main(argv)` returns the exit code instead, for callers
@@ -107,10 +109,6 @@ def _gamma_str(gamma) -> str:
     return "none" if gamma == dp.INF else str(int(gamma))
 
 
-def _gamma_json(gamma):
-    return None if gamma == dp.INF else int(gamma)
-
-
 def _peak_rss_bytes():
     """Peak resident set size of this process in bytes, or None where
     getrusage is missing (Windows)."""
@@ -131,53 +129,59 @@ def _internal_errors() -> tuple:
     return recognition.DecomposeError, dp.DpError, WitnessError
 
 
+def _solve_timed(build, source, witness: bool):
+    """The pipeline that `solve` runs and `bench` repeats: build the tree
+    from source, solve it and, when `witness` is set and gamma_p is finite,
+    reconstruct a witness. Returns the tree, gamma_p, the witness or None,
+    and the seconds of each step under `build`, `solve` and `reconstruct`."""
+    t0 = time.perf_counter()
+    tree = build(source)
+    t1 = time.perf_counter()
+    # only the witness reads the per-node states
+    result = dp.solve(tree, keep_states=witness)
+    t2 = time.perf_counter()
+    found, t_rec = None, 0.0
+    if witness and result.gamma_p != dp.INF:
+        from .witness import reconstruct_witness
+
+        found = reconstruct_witness(tree, result.states)
+        t_rec = time.perf_counter() - t2
+    return tree, result.gamma_p, found, {"build": t1 - t0, "solve": t2 - t1,
+                                         "reconstruct": t_rec}
+
+
+def _decompose(path: str):
+    """The tree that recognition builds for the graph file at path."""
+    from . import recognition
+
+    g = _load_graph(path)
+    if g.n == 0:
+        raise CliError(f"{path}: graph has no vertices")
+    try:
+        return recognition.decompose(g)
+    except recognition.NotDistanceHereditary as exc:
+        raise CliError(str(exc), EXIT_NOT_DH)
+
+
 def cmd_solve(args) -> int:
     if (args.graph is None) == (args.tree is None):
         raise CliError("exactly one of --graph/--tree is required")
-    t0 = time.perf_counter()
-    if args.graph is not None:
-        from . import recognition
-
-        g = _load_graph(args.graph)
-        instance = args.graph
-        if g.n == 0:
-            raise CliError(f"{args.graph}: graph has no vertices")
-        try:
-            tree = recognition.decompose(g)
-        except recognition.NotDistanceHereditary as exc:
-            raise CliError(str(exc), EXIT_NOT_DH)
-    else:
-        tree = _load_tree(args.tree)
-        instance = args.tree
-    t_build = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    # only the witness reads the per-node states
-    result = dp.solve(tree, keep_states=args.witness)
-    t_solve = time.perf_counter() - t0
-
-    witness = None
-    t_rec = 0.0
-    if args.witness and result.gamma_p != dp.INF:
-        t0 = time.perf_counter()
-        from .witness import reconstruct_witness
-
-        witness = reconstruct_witness(tree, result.states)
-        t_rec = time.perf_counter() - t0
-
+    build = _load_tree if args.graph is None else _decompose
+    instance = args.tree if args.graph is None else args.graph
+    tree, gamma_p, witness, elapsed = _solve_timed(build, instance, args.witness)
     if args.json:
         report = {
             "instance": instance,
             "n": tree.n_leaves,
             "m": dectree.edge_count(tree),
-            "gamma_p": _gamma_json(result.gamma_p),
+            "gamma_p": None if gamma_p == dp.INF else int(gamma_p),
             "witness": list(witness) if witness is not None else None,
-            "elapsed": {"build": t_build, "solve": t_solve, "reconstruct": t_rec},
+            "elapsed": elapsed,
             "peak_memory": _peak_rss_bytes(),
         }
         _print(json.dumps(report))
     else:
-        _print(f"gamma_p {_gamma_str(result.gamma_p)}")
+        _print(f"gamma_p {_gamma_str(gamma_p)}")
         if witness is not None:
             _print("witness " + ",".join(str(v) for v in witness))
     return EXIT_OK
@@ -228,8 +232,6 @@ def cmd_bench(args) -> int:
     import platform
     import statistics
 
-    from .witness import reconstruct_witness
-
     try:
         sizes = _parse_ids(args.sizes)
     except CliError:
@@ -238,34 +240,33 @@ def cmd_bench(args) -> int:
         raise CliError("--sizes needs positive integers")
     if args.repeats < 1:
         raise CliError(f"--repeats must be >= 1, got {args.repeats}")
-    rows = []
+
+    def median(times, step):
+        return round(statistics.median(t[step] for t in times), 6)
+
     for n in sizes:
         t0 = time.perf_counter()
         tree = dectree.generate(n, args.seed)
         t_gen = time.perf_counter() - t0
         # the tree's file, read as solve --tree reads it
         text = dectree.dumps(tree).encode()
-        solve_times, loads_times, witness_times = [], [], []
+        del tree  # each run holds only the tree it reads, as solve --tree does
+        # each repeat runs solve --tree, then solve --tree --witness
+        count, full = [], []
         for _ in range(args.repeats):
-            t0 = time.perf_counter()
-            result = dp.solve(tree)
-            t1 = time.perf_counter()
-            dectree.load(io.BytesIO(text))
-            t2 = time.perf_counter()
-            if result.gamma_p != dp.INF:  # else there is no witness
-                reconstruct_witness(tree, result.states)
-                witness_times.append(time.perf_counter() - t2)
-            solve_times.append(t1 - t0)
-            loads_times.append(t2 - t1)
-        med = statistics.median(solve_times)
+            _, gamma_p, _, elapsed = _solve_timed(dectree.load, io.BytesIO(text), False)
+            count.append(elapsed)
+            full.append(_solve_timed(dectree.load, io.BytesIO(text), True)[3])
+        med = median(full, "solve")
         peak = _peak_rss_bytes()
-        rows.append({
+        _print(json.dumps({
             "n": n,
             "gen_s": round(t_gen, 6),
-            "median_loads_s": round(statistics.median(loads_times), 6),
-            "median_solve_s": round(med, 6),
-            "median_witness_s": (round(statistics.median(witness_times), 6)
-                                 if witness_times else None),
+            "median_loads_s": median(count + full, "build"),
+            # the solve that keeps the per-node states, which the witness reads
+            "median_solve_s": med,
+            "median_count_solve_s": median(count, "solve"),
+            "median_witness_s": None if gamma_p == dp.INF else median(full, "reconstruct"),
             "per_leaf_us": round(med / n * 1e6, 4),
             # the process high-water mark so far, so it covers earlier sizes too
             "peak_rss_mb": None if peak is None else round(peak / (1 << 20), 1),
@@ -274,17 +275,7 @@ def cmd_bench(args) -> int:
             # the timings differ between Python versions and machines
             "python": platform.python_version(),
             "cpu_count": os.cpu_count(),
-        })
-    header = (f"{'n':>10}  {'gen_s':>10}  {'loads_s':>10}  {'solve_s':>10}  "
-              f"{'witness_s':>10}  {'us/leaf':>10}  {'peak_MB':>10}")
-    _print(header, "-" * len(header))
-    for r in rows:
-        witness_s = "none" if r["median_witness_s"] is None else f"{r['median_witness_s']:.4f}"
-        peak_mb = "none" if r["peak_rss_mb"] is None else f"{r['peak_rss_mb']:.1f}"
-        _print(f"{r['n']:>10}  {r['gen_s']:>10.4f}  {r['median_loads_s']:>10.4f}  "
-               f"{r['median_solve_s']:>10.4f}  {witness_s:>10}  {r['per_leaf_us']:>10.2f}  "
-               f"{peak_mb:>10}")
-    _print(*(json.dumps(r) for r in rows))
+        }))
     return EXIT_OK
 
 
@@ -300,9 +291,7 @@ def cmd_oracle(args) -> int:
             _print(_gamma_str(gamma))
             return EXIT_OK
         ts = _parse_ids(args.ts)
-        k = dectree.scan_ids(ts, g.n)[0]
-        if k >= 0 and 0 <= ts[k] < g.n:  # a repeat; the oracle names a stray
-            raise CliError(f"vertex {ts[k]} is listed more than once")
+        dectree.check_ids(ts, g.n)
         if args.k is not None:
             val = oracle.oracle_dk(g, ts, args.k)
             _print("none" if val is None else str(val))
@@ -362,8 +351,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated vertex ids, or @PATH to read them from a file")
     p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("bench", help="in-process loads, solve and witness times, "
-                                     "and peak memory")
+    p = sub.add_parser("bench", help="in-process load, solve and witness times, "
+                                     "and peak memory, as JSON rows")
     p.add_argument("--sizes", required=True, help="comma-separated leaf counts")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--repeats", type=int, default=3)

@@ -164,6 +164,16 @@ def scan_ids(ids: Iterable[int], n: int) -> tuple[int, bytearray]:
     return -1, marks
 
 
+def check_ids(ids: Sequence[int], n: int) -> None:
+    """ValueError naming the first id, in order, outside 0..n-1 or equal to
+    an earlier one: the ids must name distinct vertices of an n-vertex graph."""
+    k = scan_ids(ids, n)[0]
+    if k >= 0:
+        v = ids[k]
+        raise ValueError(f"vertex {v} out of range for n={n}" if not 0 <= v < n
+                         else f"vertex {v} is listed more than once")
+
+
 def children(labels: bytes) -> array:
     """The column of left child ids, 0 for a leaf, from one pass with the
     roots of the finished subtrees on a stack. An internal node i's right

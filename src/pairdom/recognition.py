@@ -150,11 +150,7 @@ def paired_domination_fault(g: Graph, d: Iterable[int]) -> str | None:
     in d's order, out of range or repeated. NotDistanceHereditary names the
     stuck remnant of G[D], an induced subgraph of g, in g's ids."""
     d = list(d)
-    k = dectree.scan_ids(d, g.n)[0]
-    if k >= 0:
-        v = d[k]
-        raise ValueError(f"vertex {v} out of range for n={g.n}" if not 0 <= v < g.n
-                         else f"vertex {v} is listed more than once")
+    dectree.check_ids(d, g.n)
     d.sort()
     if len(d) % 2 == 1:
         return "odd set size"

@@ -8,6 +8,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import pairdom
 from conftest import LABEL_MIXES, leaf
@@ -60,6 +61,17 @@ def test_import_cli_loads_no_unused_modules():
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False", modules
 
+
+def test_solve_without_witness_never_loads_the_witness(data_dir):
+    # solve runs the witness's pipeline step only when --witness asks for it
+    tree = str(data_dir / "ex7_tree.json")
+    code = ("import sys; from pairdom import cli; "
+            f"code = cli.main(['solve', '--tree', {tree!r}, '--json']); "
+            "print(code, 'pairdom.witness' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=_pairdom_env(), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 False"
 
 def test_solve_graph(capsys, data_dir):
     code, out, _ = run(capsys, "solve", "--graph", str(data_dir / "ex7.txt"))
@@ -441,18 +453,19 @@ def test_check_exits_3_naming_the_graphs_vertices(capsys, tmp_path):
     (["check", "--graph", "{data}/ex7.txt", "--set", "1,x"],
      "expected comma-separated vertex ids, got 'x'"),
     (["bench", "--sizes", "10k"], "--sizes needs positive integers"),
-    (["oracle", "--graph", "{data}/ex7.txt", "--ts", "0,9"], "twin set [0, 9] not within 0..6"),
+    (["oracle", "--graph", "{data}/ex7.txt", "--ts", "0,9"], "vertex 9 out of range for n=7"),
     (["oracle", "--graph", "{data}/ex7.txt", "--ts", "0", "--k", "5"],
      "k=5 out of range [0, 1]"),
     (["oracle", "--graph", "{data}/k1.txt", "--ts", ""], "gamma_k undefined for every k"),
     (["oracle", "--graph", "{data}/ex7.txt", "--k", "2"], "--k needs --ts"),
     (["oracle", "--graph", "{data}/ex7.txt", "--ts", "0,x"],
      "expected comma-separated vertex ids, got 'x'"),
-    # a twin set lists each vertex once; the first fault in order is named
+    # a twin set lists each vertex once; the first fault in order is named,
+    # in the words of check --set
     (["oracle", "--graph", "{data}/ex7.txt", "--ts", "0,0"], "vertex 0 is listed more than once"),
     (["oracle", "--graph", "{data}/ex7.txt", "--ts", "2,2,9", "--k", "1"],
      "vertex 2 is listed more than once"),
-    (["oracle", "--graph", "{data}/ex7.txt", "--ts", "2,9,2"], "twin set [2, 9] not within 0..6"),
+    (["oracle", "--graph", "{data}/ex7.txt", "--ts", "2,9,2"], "vertex 9 out of range for n=7"),
     # an empty path is a path that cannot be opened
     (["gen", "--n", "5", "--out-tree", ""], "cannot write : "),
     (["gen", "--n", "5", "--out-graph", ""], "cannot write : "),
@@ -466,6 +479,35 @@ def test_usage_errors_exit_2(capsys, tmp_path, data_dir, argv):
     assert err.startswith("error: " + message) and "Traceback" not in err
     assert not any(tmp_path.iterdir())
 
+
+# (file, solve's arguments, the exit codes a mutant may end in)
+MUTANT_INPUTS = (("ex7_tree.json", ("--tree", "--json", "--witness"), (0, 2)),
+                 ("ex7.txt", ("--graph", "--json"), (0, 2, 3)))
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_solve_exit_codes_on_one_byte_mutants(capsys, tmp_path, data_dir, data):
+    # any file is either solved or refused with one error line: a byte
+    # replaced, inserted or deleted never ends in a traceback or an internal
+    # error (exit 5)
+    name, (flag, *rest), codes = data.draw(st.sampled_from(MUTANT_INPUTS))
+    text = (data_dir / name).read_bytes()
+    op = data.draw(st.sampled_from(("replace", "insert", "delete")))
+    i = data.draw(st.integers(0, len(text) - (op != "insert")))
+    byte = bytes([data.draw(st.one_of(st.sampled_from(b'0123456789 \n{}":,-LTFAlr'),
+                                      st.integers(0, 255)))])
+    mutant = text[:i] + (b"" if op == "delete" else byte) + text[i + (op != "insert"):]
+    path = tmp_path / name
+    path.write_bytes(mutant)
+    code, out, err = run(capsys, "solve", flag, str(path), *rest)
+    assert code in codes, (mutant, err)
+    if code == 0:
+        report = json.loads(out)
+        assert report["witness"] is None or len(report["witness"]) == report["gamma_p"]
+    else:
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1, (mutant, err)
 
 def test_cli_never_validates_a_tree(capsys, tmp_path, monkeypatch):
     # the constructor looks `validate` up at call time, so the wrapper sees
@@ -507,9 +549,10 @@ def test_bench_single_row(capsys):
     code, out, _ = run(capsys, "bench", "--sizes", "500", "--seed", "3",
                        "--repeats", "2")
     assert code == 0
-    rows = [json.loads(ln) for ln in out.splitlines() if ln.startswith("{")]
+    rows = [json.loads(ln) for ln in out.splitlines()]  # JSON rows and nothing else
     assert len(rows) == 1
     assert rows[0]["n"] == 500 and rows[0]["median_solve_s"] >= 0
+    assert rows[0]["median_count_solve_s"] >= 0
     assert rows[0]["median_loads_s"] >= 0
     assert rows[0]["median_witness_s"] >= 0
     assert rows[0]["python"] == platform.python_version()
@@ -519,8 +562,8 @@ def test_bench_single_row(capsys):
 def test_bench_reports_the_peak_rss_after_each_size(capsys):
     code, out, _ = run(capsys, "bench", "--sizes", "300,200", "--seed", "3",
                        "--repeats", "1")
-    assert code == 0 and "peak_MB" in out
-    rows = [json.loads(ln) for ln in out.splitlines() if ln.startswith("{")]
+    assert code == 0
+    rows = [json.loads(ln) for ln in out.splitlines()]
     peaks = [r["peak_rss_mb"] for r in rows]
     # a high-water mark of this process, in MiB: it never falls
     assert 1 <= peaks[0] <= peaks[1] <= cli._peak_rss_bytes() / (1 << 20) + 0.05
