@@ -14,7 +14,8 @@ question without an answer: a twin set with a vertex out of range or
 listed twice, k out of range, --k without --ts, or a graph where gamma_k
 is undefined for every k. `gen` and `bench` take --seed, 0 by default.
 `bench` times the pipeline of `solve --tree` and `solve --tree --witness`
-in-process on generated trees, and prints one JSON object per size.
+in-process on generated trees, each written to a temporary file and read
+as `solve --tree` reads it, and prints one JSON object per size.
 
 `run` is the process entry point of the `pairdom` script and of
 `python -m pairdom`; `main(argv)` returns the exit code instead, for callers
@@ -24,7 +25,6 @@ in the same process.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import os
 import sys
@@ -132,8 +132,9 @@ def _internal_errors() -> tuple:
 def _solve_timed(build, source, witness: bool):
     """The pipeline that `solve` runs and `bench` repeats: build the tree
     from source, solve it and, when `witness` is set and gamma_p is finite,
-    reconstruct a witness. Returns the tree, gamma_p, the witness or None,
-    and the seconds of each step under `build`, `solve` and `reconstruct`."""
+    reconstruct a witness. Returns the tree, the `dp.SolveResult`, the
+    witness or None, and the seconds of each step under `build`, `solve`
+    and `reconstruct`."""
     t0 = time.perf_counter()
     tree = build(source)
     t1 = time.perf_counter()
@@ -146,8 +147,8 @@ def _solve_timed(build, source, witness: bool):
 
         found = reconstruct_witness(tree, result.states)
         t_rec = time.perf_counter() - t2
-    return tree, result.gamma_p, found, {"build": t1 - t0, "solve": t2 - t1,
-                                         "reconstruct": t_rec}
+    return tree, result, found, {"build": t1 - t0, "solve": t2 - t1,
+                                 "reconstruct": t_rec}
 
 
 def _decompose(path: str):
@@ -168,12 +169,13 @@ def cmd_solve(args) -> int:
         raise CliError("exactly one of --graph/--tree is required")
     build = _load_tree if args.graph is None else _decompose
     instance = args.tree if args.graph is None else args.graph
-    tree, gamma_p, witness, elapsed = _solve_timed(build, instance, args.witness)
+    tree, result, witness, elapsed = _solve_timed(build, instance, args.witness)
+    gamma_p = result.gamma_p
     if args.json:
         report = {
             "instance": instance,
             "n": tree.n_leaves,
-            "m": dectree.edge_count(tree),
+            "m": result.m,
             "gamma_p": None if gamma_p == dp.INF else int(gamma_p),
             "witness": list(witness) if witness is not None else None,
             "elapsed": elapsed,
@@ -231,6 +233,7 @@ def cmd_check(args) -> int:
 def cmd_bench(args) -> int:
     import platform
     import statistics
+    import tempfile
 
     try:
         sizes = _parse_ids(args.sizes)
@@ -248,15 +251,18 @@ def cmd_bench(args) -> int:
         t0 = time.perf_counter()
         tree = dectree.generate(n, args.seed)
         t_gen = time.perf_counter() - t0
-        # the tree's file, read as solve --tree reads it
-        text = dectree.dumps(tree).encode()
-        del tree  # each run holds only the tree it reads, as solve --tree does
-        # each repeat runs solve --tree, then solve --tree --witness
-        count, full = [], []
-        for _ in range(args.repeats):
-            _, gamma_p, _, elapsed = _solve_timed(dectree.load, io.BytesIO(text), False)
-            count.append(elapsed)
-            full.append(_solve_timed(dectree.load, io.BytesIO(text), True)[3])
+        with tempfile.TemporaryDirectory() as tmp:
+            # the tree's file, read as solve --tree reads it; each run holds
+            # only the tree it reads, not the text or the generated tree
+            path = os.path.join(tmp, "tree.json")
+            _write(path, dectree.dumps(tree))
+            del tree
+            # each repeat runs solve --tree, then solve --tree --witness
+            count, full = [], []
+            for _ in range(args.repeats):
+                _, result, _, elapsed = _solve_timed(_load_tree, path, False)
+                count.append(elapsed)
+                full.append(_solve_timed(_load_tree, path, True)[3])
         med = median(full, "solve")
         peak = _peak_rss_bytes()
         _print(json.dumps({
@@ -266,7 +272,7 @@ def cmd_bench(args) -> int:
             # the solve that keeps the per-node states, which the witness reads
             "median_solve_s": med,
             "median_count_solve_s": median(count, "solve"),
-            "median_witness_s": None if gamma_p == dp.INF else median(full, "reconstruct"),
+            "median_witness_s": None if result.gamma_p == dp.INF else median(full, "reconstruct"),
             "per_leaf_us": round(med / n * 1e6, 4),
             # the process high-water mark so far, so it covers earlier sizes too
             "peak_rss_mb": None if peak is None else round(peak / (1 << 20), 1),

@@ -8,11 +8,11 @@ block right before the right, so an internal node i has right child i-1
 and left child the root of the subtree ending before that, and the root
 is the last node. Each walk is one loop, so no depth touches the call
 stack: children-first walks keep the finished subtrees on a stack (their
-roots in `children`, twin lists in `expand`, twin-set sizes in
-`edge_count`) or read the right child as i-1, and parents-first walks
-(`dumps`, the witness, the `nodes` view) take the left child ids from one
-`children` pass and read the right child as i-1 too. None of them
-checks the tree: a `DecompTree` is valid by construction. The trees that
+roots in `children`, twin lists in `expand`, states in `dp.solve`) or
+read the right child as i-1, and parents-first walks (`dumps`, the
+witness, the `nodes` view) take the left child ids from one `children`
+pass and read the right child as i-1 too. None of them checks the tree:
+a `DecompTree` is valid by construction. The trees that
 `generate` and recognition grow by merging subtrees are laid out by
 `_from_merges`. `DecompTree.nodes` shows the tree as tuples, ("leaf",
 vertex) or (label, left, right); `from_nodes`, its inverse, is where
@@ -231,32 +231,6 @@ def expand(t: DecompTree) -> tuple[Graph, tuple[int, ...]]:
             ts_l.extend(ts_r)
     adjacency = tuple(tuple(sorted(a)) for a in adj)
     return Graph(t.n_leaves, sum(map(len, adjacency)) // 2, adjacency), tuple(sorted(stack[0]))
-
-
-def edge_count(t: DecompTree) -> int:
-    """Edge count of the tree's expansion without building it, from the
-    label column alone: each T or A node adds a biclique between its
-    children's twin sets. The twin-set sizes of the finished subtrees are
-    ints on a stack, the last one's in `top`."""
-    sizes: list[int] = []
-    push, pop = sizes.append, sizes.pop
-    leaf, attach, true_twin = LEAF_TAG, ATTACH_TAG, TRUE_TWIN_TAG
-    m = top = 0
-    for tag in t.labels:
-        if tag == leaf:
-            push(top)
-            top = 1
-        elif tag == attach:  # the left child keeps the twin set
-            left = pop()
-            m += left * top
-            top = left
-        elif tag == true_twin:
-            left = pop()
-            m += left * top
-            top += left
-        else:
-            top += pop()
-    return m
 
 
 def generate(

@@ -21,7 +21,9 @@ per call, cleared when full, hands a node the state already built for equal
 inputs, which is not combined or checked again. All leaves share one state.
 By default `solve` also lists every node's state, which the witness reads;
 the count path (`keep_states=False`) lists none, so it keeps one state per
-open subtree, besides the memo's.
+open subtree, besides the memo's. The same pass counts the expansion's
+edges, `SolveResult.m`: each T or A node joins its children's twin sets
+completely, so it adds the product of their `ts_size`s.
 """
 
 from __future__ import annotations
@@ -54,10 +56,11 @@ class DpError(RuntimeError):
 
 
 class SolveResult(Record):
-    __slots__ = ("gamma_p", "states")
+    __slots__ = ("gamma_p", "m", "states")
 
-    def __init__(self, gamma_p: float, states: Sequence[NodeState] | None):
+    def __init__(self, gamma_p: float, m: int, states: Sequence[NodeState] | None):
         self.gamma_p = gamma_p
+        self.m = m  # edges of the tree's expansion
         self.states = states  # indexed by tree node id; None unless kept
 
 
@@ -186,8 +189,10 @@ def solve(t: DecompTree, *, keep_states: bool = True) -> SolveResult:
     stack: list[NodeState] = []
     push, pop = stack.append, stack.pop
     top = None
-    leaf_tag = dectree.LEAF_TAG
+    leaf_tag, false_twin_tag = dectree.LEAF_TAG, dectree.FALSE_TWIN_TAG
+    ts_size = TS_SIZE
     combine = _COMBINE
+    m = 0  # edges of the expansion so far
     # all leaves share one state; states are tuples, so nothing mutates it
     shared_leaf = leaf_state()
     # (label, left state, right state) -> the state combined from them
@@ -200,11 +205,15 @@ def solve(t: DecompTree, *, keep_states: bool = True) -> SolveResult:
             top = shared_leaf
             append(top)
             continue
-        key = (tag, pop(), top)
+        left = pop()
+        # counted per node, memo hit or not: T and A join the twin sets
+        if tag != false_twin_tag:
+            m += left[ts_size] * top[ts_size]
+        key = (tag, left, top)
         s = lookup(key)
         if s is None:
             try:
-                s = combine[tag](key[1], key[2])
+                s = combine[tag](left, top)
             except DpError as exc:
                 if states is None:
                     # only the list gives the node's id: solving again
@@ -220,4 +229,4 @@ def solve(t: DecompTree, *, keep_states: bool = True) -> SolveResult:
         top = s
         append(s)
     # top is the root's state, the one subtree left
-    return SolveResult(gamma_p=top[GAMMA_P], states=states)
+    return SolveResult(gamma_p=top[GAMMA_P], m=m, states=states)

@@ -480,6 +480,15 @@ def test_usage_errors_exit_2(capsys, tmp_path, data_dir, argv):
     assert not any(tmp_path.iterdir())
 
 
+def _draw_mutant(data, text: bytes) -> bytes:
+    """text with one byte replaced, inserted or deleted."""
+    op = data.draw(st.sampled_from(("replace", "insert", "delete")))
+    i = data.draw(st.integers(0, len(text) - (op != "insert")))
+    byte = bytes([data.draw(st.one_of(st.sampled_from(b'0123456789 \n{}":,-LTFAlr'),
+                                      st.integers(0, 255)))])
+    return text[:i] + (b"" if op == "delete" else byte) + text[i + (op != "insert"):]
+
+
 # (file, solve's arguments, the exit codes a mutant may end in)
 MUTANT_INPUTS = (("ex7_tree.json", ("--tree", "--json", "--witness"), (0, 2)),
                  ("ex7.txt", ("--graph", "--json"), (0, 2, 3)))
@@ -493,12 +502,7 @@ def test_solve_exit_codes_on_one_byte_mutants(capsys, tmp_path, data_dir, data):
     # replaced, inserted or deleted never ends in a traceback or an internal
     # error (exit 5)
     name, (flag, *rest), codes = data.draw(st.sampled_from(MUTANT_INPUTS))
-    text = (data_dir / name).read_bytes()
-    op = data.draw(st.sampled_from(("replace", "insert", "delete")))
-    i = data.draw(st.integers(0, len(text) - (op != "insert")))
-    byte = bytes([data.draw(st.one_of(st.sampled_from(b'0123456789 \n{}":,-LTFAlr'),
-                                      st.integers(0, 255)))])
-    mutant = text[:i] + (b"" if op == "delete" else byte) + text[i + (op != "insert"):]
+    mutant = _draw_mutant(data, (data_dir / name).read_bytes())
     path = tmp_path / name
     path.write_bytes(mutant)
     code, out, err = run(capsys, "solve", flag, str(path), *rest)
@@ -508,6 +512,32 @@ def test_solve_exit_codes_on_one_byte_mutants(capsys, tmp_path, data_dir, data):
         assert report["witness"] is None or len(report["witness"]) == report["gamma_p"]
     else:
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1, (mutant, err)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_check_and_oracle_exit_codes_on_one_byte_mutants(capsys, tmp_path, data_dir, data):
+    # a vertex list with a byte replaced, inserted or deleted is answered or
+    # refused with one error line, never a traceback or an internal error;
+    # the = form keeps a list that starts with "-" from reading as an option
+    code, out, _ = run(capsys, "solve", "--tree", str(data_dir / "ex7_tree.json"), "--witness")
+    assert code == 0
+    mutant = _draw_mutant(data, out.splitlines()[1].removeprefix("witness ").encode())
+    path = tmp_path / "set.txt"
+    path.write_bytes(mutant)
+    graph = str(data_dir / "ex7.txt")
+    # as the command line gives an argument that is not UTF-8
+    value = mutant.decode("utf-8", "surrogateescape")
+    for argv, codes in ((("check", "--graph", graph, f"--set=@{path}"), (0, 1, 2, 3)),
+                        (("oracle", "--graph", graph, f"--ts={value}"), (0, 2))):
+        code, out, err = run(capsys, *argv)
+        assert code in codes, (argv, err)
+        if code in (2, 3):
+            assert out == "" and err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+        else:
+            assert err == "", (argv, err)
+
 
 def test_cli_never_validates_a_tree(capsys, tmp_path, monkeypatch):
     # the constructor looks `validate` up at call time, so the wrapper sees
@@ -557,6 +587,23 @@ def test_bench_single_row(capsys):
     assert rows[0]["median_witness_s"] >= 0
     assert rows[0]["python"] == platform.python_version()
     assert rows[0]["cpu_count"] == os.cpu_count()
+
+
+def test_bench_reads_each_run_from_a_tree_file(capsys, monkeypatch):
+    # each run reads the size's tree file as solve --tree does, and the file
+    # is gone once its row is printed
+    paths = []
+    load_tree = cli._load_tree
+
+    def counted(path):
+        paths.append(path)
+        return load_tree(path)
+
+    monkeypatch.setattr(cli, "_load_tree", counted)
+    code, out, _ = run(capsys, "bench", "--sizes", "50", "--repeats", "2")
+    assert code == 0 and json.loads(out)["n"] == 50
+    assert len(paths) == 4 and len(set(paths)) == 1
+    assert not os.path.exists(paths[0])
 
 
 def test_bench_reports_the_peak_rss_after_each_size(capsys):

@@ -267,9 +267,10 @@ def test_node_state_and_solve_result_compare_by_fields():
     assert s != node_state(1, 0, 2, 3, INF, True, True)
     with pytest.raises(TypeError):  # a state is a tuple: it cannot be mutated
         s[dp.MIN] = 0
-    res = dp.SolveResult(gamma_p=2, states=[s])
-    assert res == dp.SolveResult(2, [node_state(1, 0, 2, 3, INF, True, False)])
-    assert res != dp.SolveResult(2, None)
+    res = dp.SolveResult(gamma_p=2, m=3, states=[s])
+    assert res == dp.SolveResult(2, 3, [node_state(1, 0, 2, 3, INF, True, False)])
+    assert res != dp.SolveResult(2, 3, None)
+    assert res != dp.SolveResult(2, 2, [s])
 
 
 def test_check_error_prints_the_state():
