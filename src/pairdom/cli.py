@@ -31,7 +31,7 @@ import sys
 import time
 
 from . import dectree, dp
-from .graph import GraphError, format_graph_text, parse_graph_text
+from .graph import GraphError, parse_graph_text, write_graph_text
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -56,10 +56,10 @@ def _read(path: str) -> bytes:
         raise CliError(f"cannot read {path}: {exc}")
 
 
-def _write(path: str, text: str) -> None:
+def _write(path: str, write) -> None:
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            write(fh)
     except OSError as exc:
         raise CliError(f"cannot write {path}: {exc}")
 
@@ -197,10 +197,10 @@ def cmd_gen(args) -> int:
     except dectree.TreeError as exc:
         raise CliError(str(exc))
     if args.out_tree is not None:
-        _write(args.out_tree, dectree.dumps(tree))
+        _write(args.out_tree, lambda fh: dectree.dump(tree, fh))
     if args.out_graph is not None:
         g, _ = dectree.expand(tree)
-        _write(args.out_graph, format_graph_text(g))
+        _write(args.out_graph, lambda fh: write_graph_text(g, fh))
     return EXIT_OK
 
 
@@ -255,7 +255,7 @@ def cmd_bench(args) -> int:
             # the tree's file, read as solve --tree reads it; each run holds
             # only the tree it reads, not the text or the generated tree
             path = os.path.join(tmp, "tree.json")
-            _write(path, dectree.dumps(tree))
+            _write(path, lambda fh: dectree.dump(tree, fh))
             del tree
             # each repeat runs solve --tree, then solve --tree --witness
             count, full = [], []

@@ -9,7 +9,7 @@ and left child the root of the subtree ending before that, and the root
 is the last node. Each walk is one loop, so no depth touches the call
 stack: children-first walks keep the finished subtrees on a stack (their
 roots in `children`, twin lists in `expand`, states in `dp.solve`) or
-read the right child as i-1, and parents-first walks (`dumps`, the
+read the right child as i-1, and parents-first walks (`dump`, the
 witness, the `nodes` view) take the left child ids from one `children`
 pass and read the right child as i-1 too. None of them checks the tree:
 a `DecompTree` is valid by construction. The trees that
@@ -19,6 +19,7 @@ vertex) or (label, left, right); `from_nodes`, its inverse, is where
 explicit child ids arrive. `load` reads a tree file `CHUNK` bytes at a
 time, so it holds a chunk and the tree's streams and columns, a few bytes
 per leaf, but never the whole file; `loads` reads a text the same way.
+`dump` writes the file to a text stream a piece at a time.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import re
 from array import array
 from bisect import bisect
 from collections.abc import Iterable, Iterator, Sequence
-from io import BufferedIOBase
+from io import BufferedIOBase, StringIO, TextIOBase
 from itertools import accumulate, islice
 
 from .graph import Graph
@@ -310,42 +311,42 @@ def _from_merges(n: int, tags: Sequence[int], absorbed: Sequence[int],
 # internal -> {"op": "T"|"F"|"A", "l": <node>, "r": <node>}
 
 
-def dumps(t: DecompTree) -> str:
-    """Nested JSON text of the tree, in time linear in its length.
+def dump(t: DecompTree, fp: TextIOBase) -> None:
+    """Write the tree's nested JSON text to a text stream, in time linear in
+    its length, holding none of it.
 
     The text is the tree in pre-order, so one walk with an explicit stack
     writes it: a node pushes its closing brace, its right child, the
     separator before it and its left child. It meets the leaves in the
-    order of `vertices`. The pieces are joined into a chunk once 2**16
-    have gathered, which keeps the memory near the text's size.
+    order of `vertices`.
     """
     labels = t.labels
     lefts = children(labels)
     vertex = iter(t.vertices).__next__
     opening = {tag: '{"op": "%c", "l": ' % tag for tag in LABEL_TAGS}
-    chunks: list[str] = []
-    out: list[str] = []
-    emit = out.append
+    write = fp.write
     stack: list = [t.root]  # node ids and the strings between them
     push, pop = stack.append, stack.pop
     while stack:
         x = pop()
         if x.__class__ is str:
-            emit(x)
+            write(x)
         elif labels[x] == LEAF_TAG:
-            emit('{"leaf": %d}' % vertex())
-            if len(out) >= 1 << 16:
-                chunks.append("".join(out))
-                out.clear()
+            write('{"leaf": %d}' % vertex())
         else:
-            emit(opening[labels[x]])
+            write(opening[labels[x]])
             push("}")
             push(x - 1)
             push(', "r": ')
             push(lefts[x])
-    out.append("\n")
-    chunks.append("".join(out))
-    return "".join(chunks)
+    write("\n")
+
+
+def dumps(t: DecompTree) -> str:
+    """The text that `dump` writes."""
+    out = StringIO()
+    dump(t, out)
+    return out.getvalue()
 
 
 # The reader takes a text in five kinds of piece: a whole leaf, an opening

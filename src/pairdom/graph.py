@@ -1,12 +1,16 @@
 """Undirected simple graphs, their text format and the domination predicate.
 
 Vertices are dense 0-based integers. All adjacency lists are kept sorted so
-that every operation downstream is deterministic.
+that every operation downstream is deterministic. `parse_graph_text` reads
+the text format from a string; `write_graph_text` writes it to a stream
+vertex by vertex, so no list of edges or lines is built.
 """
 
 from __future__ import annotations
 
+from bisect import bisect
 from collections.abc import Iterable
+from io import TextIOBase
 from itertools import islice
 
 from .record import Record
@@ -83,7 +87,9 @@ def _edge(ln: str) -> tuple[int, int]:
         raise GraphError(f"bad edge line {ln!r}") from exc
 
 
-def format_graph_text(g: Graph) -> str:
-    lines = [f"{g.n} {g.m}"]
-    lines.extend(f"{u} {v}" for u, v in g.edges())
-    return "\n".join(lines) + "\n"
+def write_graph_text(g: Graph, fp: TextIOBase) -> None:
+    """Write the text format to a text stream: the header, then one string
+    per vertex u holding the lines "u v" for its neighbours v > u."""
+    fp.write(f"{g.n} {g.m}\n")
+    for u, run in enumerate(g.adjacency):
+        fp.write("".join([f"{u} {v}\n" for v in run[bisect(run, u):]]))

@@ -8,6 +8,7 @@ degrades is worse than none.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Iterable, Sequence
 from itertools import combinations
@@ -92,38 +93,24 @@ def is_paired_dominating(g: Graph, d: Iterable[int]) -> bool:
     return is_dominating(g, dlist, range(g.n)) and has_perfect_matching_induced(g, dlist)
 
 
-class _MatchMemo:
-    """Perfect-matching checks keyed by vertex set, shared within one call."""
-
-    def __init__(self, g: Graph):
-        self.g = g
-        self.memo: dict[frozenset, bool] = {}
-
-    def __call__(self, s) -> bool:
-        key = frozenset(s)
-        hit = self.memo.get(key)
-        if hit is None:
-            hit = self.memo[key] = has_perfect_matching_induced(self.g, key)
-        return hit
-
-
 def oracle_gamma_p(g: Graph) -> float:
     _guard(g.n, MAX_N_GAMMA_P, "oracle_gamma_p")
     verts = range(g.n)
-    match = _MatchMemo(g)
+    match = functools.cache(functools.partial(has_perfect_matching_induced, g))
     for size in range(0, g.n + 1, 2):  # the empty set dominates a graph without vertices
         for d in combinations(verts, size):
-            if is_dominating(g, d, verts) and match(d):
+            if is_dominating(g, d, verts) and match(frozenset(d)):
                 return size
     return INF
 
 
 def _dk_feasible(g: Graph, s: tuple, ts: frozenset, k: int, match) -> bool:
+    # match: a perfect-matching check cached by frozenset, shared within one oracle call
     in_ts = [v for v in s if v in ts]
     if len(in_ts) < k:
         return False
     sset = set(s)
-    return any(match(sset - set(x)) for x in combinations(in_ts, k))
+    return any(match(frozenset(sset.difference(x))) for x in combinations(in_ts, k))
 
 
 def oracle_dk(g: Graph, ts, k: int) -> int | None:
@@ -134,7 +121,7 @@ def oracle_dk(g: Graph, ts, k: int) -> int | None:
     if not (0 <= k <= len(tset)):
         raise ValueError(f"k={k} out of range [0, {len(tset)}]")
     rest = [v for v in range(g.n) if v not in tset]
-    match = _MatchMemo(g)
+    match = functools.cache(functools.partial(has_perfect_matching_induced, g))
     for size in range(k, g.n + 1, 2):
         for s in combinations(range(g.n), size):
             if is_dominating(g, s, rest) and _dk_feasible(g, s, tset, k, match):
@@ -148,7 +135,7 @@ def oracle_node_state(g: Graph, ts) -> OracleNodeReport:
     if not tset <= set(range(g.n)):
         raise ValueError(f"twin set {sorted(tset)} not within 0..{g.n - 1}")
     rest = [v for v in range(g.n) if v not in tset]
-    match = _MatchMemo(g)
+    match = functools.cache(functools.partial(has_perfect_matching_induced, g))
 
     # one sweep by increasing size fills the whole gamma_k table
     table: list[int | None] = [None] * (len(tset) + 1)
@@ -181,7 +168,7 @@ def oracle_node_state(g: Graph, ts) -> OracleNodeReport:
     g0 = table[0]
     if g0 is not None:
         for s in combinations(range(g.n), g0):
-            if not (is_dominating(g, s, rest) and match(s)):
+            if not (is_dominating(g, s, rest) and match(frozenset(s))):
                 continue
             if any(v in tset for v in s):
                 mty_ts = False

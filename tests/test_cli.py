@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import json
 import os
@@ -14,7 +15,7 @@ import pairdom
 from conftest import LABEL_MIXES, leaf
 from pairdom import cli, dectree
 from pairdom.cli import main
-from pairdom.graph import format_graph_text, is_dominating, parse_graph_text
+from pairdom.graph import is_dominating, parse_graph_text, write_graph_text
 from pairdom.oracle import has_perfect_matching_induced
 
 
@@ -290,14 +291,20 @@ def test_non_utf8_input_exits_2(capsys, tmp_path):
 
 
 def test_gen_deterministic(tmp_path, capsys):
-    a, b = tmp_path / "a.json", tmp_path / "b.json"
-    ga, gb = tmp_path / "a.txt", tmp_path / "b.txt"
-    for tree, graph in ((a, ga), (b, gb)):
-        code, _, _ = run(capsys, "gen", "--n", "100", "--seed", "7",
+    a, b, c = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "c.json"
+    ga, gb, gc = tmp_path / "a.txt", tmp_path / "b.txt", tmp_path / "c.txt"
+    for n, tree, graph in (("100", a, ga), ("100", b, gb), ("2000", c, gc)):
+        code, _, _ = run(capsys, "gen", "--n", n, "--seed", "7",
                          "--out-tree", str(tree), "--out-graph", str(graph))
         assert code == 0
     assert a.read_bytes() == b.read_bytes()
     assert ga.read_bytes() == gb.read_bytes()
+    # the bytes both writers produce, pinned by digest
+    assert hashlib.sha256(c.read_bytes()).hexdigest() == \
+        "5b05bf94f284c4e948e5bacf9b2632f6c629cd726b827857ba3801becb012aac"
+    assert gc.read_text().startswith("2000 27274\n")
+    assert hashlib.sha256(gc.read_bytes()).hexdigest() == \
+        "084143ba5975516ef39bb808df5b312fdc90dc1c46d2a87256d6b24aaed3d900"
 
 
 def test_gen_single_leaf(tmp_path, capsys):
@@ -387,7 +394,8 @@ def test_check_agrees_with_the_matching_search(capsys, tmp_path):
     for i, mix in enumerate(LABEL_MIXES * 30):
         g, _ = dectree.expand(dectree.generate(rng.randint(2, 14), i, mix))
         path = tmp_path / "g.txt"
-        path.write_text(format_graph_text(g))
+        with open(path, "w", encoding="utf-8") as fh:
+            write_graph_text(g, fh)
         d = {v for v in range(g.n) if rng.random() < 0.4}
         d |= {v for v in range(g.n) if not is_dominating(g, d, (v,))}
         if len(d) % 2:

@@ -281,6 +281,22 @@ def test_loads_frees_the_text_before_its_python_passes(tmp_path):
     assert t.n_leaves == n and peak <= 2 * size + 9 * n
 
 
+def test_dump_holds_no_text(tmp_path):
+    # written to a file, the tree's text is never held: what dump keeps is
+    # the left-child column, a few bytes a node, and its walk's stack
+    t = dectree.generate(30_000, 1)
+    path = tmp_path / "tree.json"
+    with open(path, "w", encoding="utf-8") as fh:
+        tracemalloc.start()
+        try:
+            dectree.dump(t, fh)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak <= 10 * len(t.labels)
+    assert path.read_text() == dectree.dumps(t)
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(1, 40), st.integers(0, 10_000))
 def test_node_tuples_round_trip_through_the_columns(n, seed):

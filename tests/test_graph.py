@@ -1,3 +1,4 @@
+import io
 import itertools
 import tracemalloc
 
@@ -9,9 +10,9 @@ from pairdom.graph import (
     Graph,
     GraphError,
     build_graph,
-    format_graph_text,
     is_dominating,
     parse_graph_text,
+    write_graph_text,
 )
 from pairdom.oracle import has_perfect_matching_induced, is_paired_dominating
 
@@ -149,9 +150,14 @@ def test_induced_subgraph(ex7_graph):
     assert relabel[3] == 0 and relabel[6] == 3
 
 
+def _graph_text(g):
+    out = io.StringIO()
+    write_graph_text(g, out)
+    return out.getvalue()
+
+
 def test_text_format_round_trip(ex7_graph):
-    text = format_graph_text(ex7_graph)
-    assert parse_graph_text(text) == ex7_graph
+    assert parse_graph_text(_graph_text(ex7_graph)) == ex7_graph
 
 
 def test_text_format_comments_and_errors():
@@ -178,7 +184,7 @@ def test_parse_reports_the_first_faulty_line():
 
 def test_parse_peak_is_at_most_160_bytes_per_edge():
     # K_200: the edge lines reach build_graph with no tuple per edge kept
-    text = format_graph_text(build_graph(200, itertools.combinations(range(200), 2)))
+    text = _graph_text(build_graph(200, itertools.combinations(range(200), 2)))
     tracemalloc.start()
     try:
         g = parse_graph_text(text)
@@ -186,3 +192,19 @@ def test_parse_peak_is_at_most_160_bytes_per_edge():
     finally:
         tracemalloc.stop()
     assert g.m == 19_900 and peak <= 160 * g.m
+
+
+def test_write_graph_text_holds_no_text(tmp_path):
+    # K_200 written to a file: the largest string alive is one vertex's
+    # lines, never the 19 900 edges' text or a list of them
+    g = build_graph(200, itertools.combinations(range(200), 2))
+    path = tmp_path / "k200.txt"
+    with open(path, "w", encoding="utf-8") as fh:
+        tracemalloc.start()
+        try:
+            write_graph_text(g, fh)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak <= 64 << 10
+    assert parse_graph_text(path.read_text()) == g
